@@ -30,11 +30,9 @@ from .basefields import (
     RatFunc,
     RationalFunctions,
     ValuedField,
-    f_arith,
     hensel_sqrt,
     is_cauchy,
     make_field,
-    oracle_expand,
 )
 from .cosets import (
     GammaCoset,
@@ -76,12 +74,8 @@ from .limit import (
     from_cosets,
     from_field,
     hensel_finder,
-    limit_add,
     limit_arith,
     limit_eq,
-    limit_inv,
-    limit_mul,
-    limit_neg,
     rebuild_from_digits,
     sigma_embed,
     to_approximation,

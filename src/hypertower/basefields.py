@@ -30,24 +30,41 @@ __all__ = [
     "PadicRationals",
     "RationalFunctions",
     "QuadraticExtension",
-    "f_arith",
-    "oracle_expand",
     "hensel_sqrt",
     "is_cauchy",
     "make_field",
 ]
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below _MR_BOUND (Sorenson and Webster, 2015); the bound itself is a strong
+# pseudoprime to every one of those bases
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify primality at or above {_MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -424,6 +441,22 @@ class ValuedField:
         """v(x - y); the workhorse of every coset predicate."""
         return self.valuation(self.sub(x, y))
 
+    def random_nonzero(self, rng, height=50):
+        while True:
+            x = self.random_element(rng, height)
+            if not self.is_zero(x):
+                return x
+
+    def _resum(self, appr):
+        """The rational p^shift * sum(digits[i] * p^i) of a digit window."""
+        if appr.p != self.p:
+            raise ValueError("approximation base mismatch")
+        total = Fraction(0)
+        for i, d in enumerate(appr.digits):
+            if d:
+                total += d * Fraction(self.p) ** (appr.shift + i)
+        return total
+
 
 class PadicRationals(ValuedField):
     """The rationals with the p-adic valuation."""
@@ -490,29 +523,10 @@ class PadicRationals(ValuedField):
         return Approximation(e, _digits_of(val, self.p, n), self.p)
 
     def from_approximation(self, appr):
-        if appr.p != self.p:
-            raise ValueError("approximation base mismatch")
-        total = Fraction(0)
-        for i, d in enumerate(appr.digits):
-            if d:
-                total += d * Fraction(self.p) ** (appr.shift + i)
-        return total
+        return self._resum(appr)
 
     def random_element(self, rng, height=50):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
-
-    def random_nonzero(self, rng, height=50):
-        while True:
-            x = self.random_element(rng, height)
-            if x != 0:
-                return x
-
-    def random_unit(self, rng, height=50):
-        while True:
-            n = rng.randint(1, height)
-            d = rng.randint(1, height)
-            if n % self.p and d % self.p:
-                return Fraction(rng.choice((-1, 1)) * n, d)
 
     def to_json(self, x):
         x = self.check(x)
@@ -604,18 +618,6 @@ class RationalFunctions(ValuedField):
             den = FpPoly(self.p, [rng.randrange(self.p) for _ in range(degree + 1)])
             if not den.is_zero():
                 return RatFunc(num, den)
-
-    def random_nonzero(self, rng, height=50, degree=3):
-        while True:
-            x = self.random_element(rng, height, degree)
-            if not x.is_zero():
-                return x
-
-    def random_unit(self, rng, height=50, degree=3):
-        while True:
-            x = self.random_element(rng, height, degree)
-            if not x.is_zero() and x.t_order() == 0:
-                return x
 
     def to_json(self, x):
         x = self.check(x)
@@ -747,13 +749,7 @@ class QuadraticExtension(ValuedField):
         return total
 
     def from_approximation(self, appr):
-        if appr.p != self.p:
-            raise ValueError("approximation base mismatch")
-        total = Fraction(0)
-        for i, d in enumerate(appr.digits):
-            if d:
-                total += d * Fraction(self.p) ** (appr.shift + i)
-        return QuadElement(self.p, total, Fraction(0))
+        return QuadElement(self.p, self._resum(appr), Fraction(0))
 
     def uniformizer_pow(self, k):
         return QuadElement(self.p, Fraction(self.p) ** k, Fraction(0))
@@ -768,18 +764,6 @@ class QuadraticExtension(ValuedField):
             Fraction(rng.randint(-height, height), rng.randint(1, height)),
         )
 
-    def random_nonzero(self, rng, height=50):
-        while True:
-            x = self.random_element(rng, height)
-            if not x.is_zero():
-                return x
-
-    def random_unit(self, rng, height=50):
-        while True:
-            x = self.random_nonzero(rng, height)
-            if self.valuation(x) == 0:
-                return x
-
     def to_json(self, x):
         x = self.check(x)
         return {"a": str(x.a), "b": str(x.b)}
@@ -793,24 +777,6 @@ def make_field(kind, p):
     if kind == "quadratic":
         return QuadraticExtension(p)
     raise ValueError(f"unknown field kind: {kind!r}")
-
-
-def f_arith(field, op, x, y=None):
-    """Dispatch exact field arithmetic: add, neg, mul, inv."""
-    if op == "add":
-        return field.add(x, y)
-    if op == "neg":
-        return field.neg(x)
-    if op == "mul":
-        return field.mul(x, y)
-    if op == "inv":
-        return field.inv(x)
-    raise ValueError(f"unknown operation: {op!r}")
-
-
-def oracle_expand(field, x, n):
-    """Digit/Laurent expansion of x to n places past its valuation."""
-    return field.expand(x, n)
 
 
 def hensel_sqrt(p, c, seed, n):
@@ -850,18 +816,14 @@ def is_cauchy(field, xs, gamma):
 
     Returns None when no index certifies it; a witness must leave at
     least two entries in the tail, since a single trailing element
-    certifies nothing about the sequence.
+    certifies nothing about the sequence.  By the ultrametric inequality
+    a tail beats the level pairwise exactly when its consecutive
+    differences do, so one backward scan finds the smallest index.
     """
     xs = [field.check(x) for x in xs]
-    for nu0 in range(0, max(0, len(xs) - 1)):
-        ok = True
-        for i in range(nu0, len(xs)):
-            for j in range(i + 1, len(xs)):
-                if not field.sub_valuation(xs[i], xs[j]) > gamma:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return CauchyWitness(nu0, gamma)
+    nu0 = len(xs) - 1
+    while nu0 > 0 and field.sub_valuation(xs[nu0 - 1], xs[nu0]) > gamma:
+        nu0 -= 1
+    if nu0 < len(xs) - 1:
+        return CauchyWitness(nu0, gamma)
     return None

@@ -18,43 +18,19 @@ from . import suites
 from .basefields import PadicRationals, QuadraticExtension, make_field
 from .cosets import coset_of, coset_value, hyperadd, hypersum_value_set
 from .oag import value_to_json
-from .limit import (
-    check_singlevalued,
-    check_universal_property,
-    from_field,
-    hensel_finder,
-    limit_arith,
-    limit_eq,
-    rebuild_from_digits,
-    sigma_embed,
-    to_approximation,
-)
-from .sampling import sample_element
-from .tower import (
-    CosetCarrier,
-    LawReport,
-    LevelPair,
-    TropCarrier,
-    check_hom_law,
-    check_projection_containment,
-    check_slice_triangles,
-    cone_over_diagram,
-    project,
-)
-
-SUITES = (
-    "lee",
-    "tropical",
-    "hom",
-    "cone",
-    "singlevalued",
-    "universal",
-    "oracle-roundtrip",
-)
+from .limit import from_field, hensel_finder, limit_arith, sigma_embed, to_approximation
+from .tower import project
 
 
 class UsageError(Exception):
     pass
+
+
+def _nonnegative(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _emit(doc):
@@ -191,130 +167,16 @@ def cmd_limit_arith(args):
     return 0
 
 
-def _suite_reports(args, rng):
-    name = args.suite
-    samples = args.samples
-    height = args.height
-    if name == "lee":
-        reports = []
-        for gamma in (0, 1, 2):
-            reports.append(
-                suites.lee_suite(
-                    args.p,
-                    gamma,
-                    rng,
-                    exhaustive_bound=min(height, 6),
-                    sample_bound=height,
-                    sample_pairs=samples,
-                )
-            )
-        return reports
-    if name == "tropical":
-        return [
-            suites.tropical_suite(rng, samples, arity=1),
-            suites.tropical_suite(rng, samples, arity=2),
-        ]
-    field = make_field(args.field, args.p)
-    pairs = [LevelPair(a, b) for a in range(4) for b in range(a, 4)]
-    elements = [sample_element(field, rng, height) for _ in range(max(8, samples // 8))]
-    if name == "hom":
-        reports = [
-            check_slice_triangles(field, pairs, elements),
-            check_projection_containment(field, pairs[:6], elements[:12]),
-        ]
-        for level in (0, 1, 2):
-            dom = CosetCarrier(field, level)
-            cod = TropCarrier(1)
-            reports.append(
-                check_hom_law(dom, cod, lambda c: coset_value(c), rng, samples=samples // 4 or 8)
-            )
-        dom = CosetCarrier(field, 3)
-        cod = CosetCarrier(field, 1)
-        reports.append(
-            check_hom_law(dom, cod, lambda c: project(c, 1), rng, samples=samples // 4 or 8)
-        )
-        return reports
-    if name == "cone":
-        def plain_sides(g):
-            return lambda x: coset_of(field, x, g)
-
-        reports = [cone_over_diagram(plain_sides, pairs, elements)]
-        if isinstance(field, PadicRationals):
-            # vertex of completed digit streams: sides truncate one digit
-            # past the level, which pins the class exactly
-            def stream_sides(g):
-                def side(x):
-                    appr = field.expand(x, g + 1)
-                    return coset_of(field, field.from_approximation(appr), g)
-
-                return side
-
-            reports.append(
-                cone_over_diagram(
-                    stream_sides, pairs, [e for e in elements if not field.is_zero(e)]
-                )
-            )
-        return reports
-    if name == "singlevalued":
-        reports = []
-        for _ in range(max(4, samples // 16)):
-            a = from_field(field, sample_element(field, rng, height))
-            b = from_field(field, sample_element(field, rng, height))
-            reports.append(check_singlevalued(a, b, 12, rng, chains=4))
-        return reports
-    if name == "universal":
-        base = PadicRationals(args.p)
-        xs = [base.random_nonzero(rng, height) for _ in range(max(4, samples // 16))]
-        reports = [
-            check_universal_property(
-                base,
-                xs,
-                lambda x, g: coset_of(base, x, g),
-                [("plain", lambda x: from_field(base, x))],
-                12,
-            )
-        ]
-        if args.p % 2 and args.p != 3:
-            ext = QuadraticExtension(args.p)
-            rf = hensel_finder(ext, base)
-            ys = [ext.generator(), ext.element([2, 3])]
-            reports.append(
-                check_universal_property(
-                    base,
-                    ys,
-                    lambda x, g: coset_of(base, rf(x, g), g),
-                    [("sigma", lambda x: sigma_embed(x, rf))],
-                    12,
-                )
-            )
-        return reports
-    if name == "oracle-roundtrip":
-        report = LawReport("oracle-roundtrip")
-        digits = args.digits
-        for _ in range(samples):
-            report.tick()
-            x = sample_element(field, rng, height)
-            y = sample_element(field, rng, height)
-            ex, ey = from_field(field, x), from_field(field, y)
-            jobs = [("add", field.add(x, y), limit_arith("add", ex, ey)[0]),
-                    ("mul", field.mul(x, y), limit_arith("mul", ex, ey)[0]),
-                    ("neg", field.neg(x), limit_arith("neg", ex)[0])]
-            if not field.is_zero(x):
-                jobs.append(("inv", field.inv(x), limit_arith("inv", ex)[0]))
-            for op, exact, lifted in jobs:
-                if to_approximation(lifted, digits) != field.expand(exact, digits):
-                    report.fail(op=op, x=str(x), y=str(y))
-            rebuilt = rebuild_from_digits(field, to_approximation(ex, digits + 1))
-            if not limit_eq(ex, rebuilt, digits).equal:
-                report.fail(op="rebuild", x=str(x))
-        return [report]
-    raise UsageError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
-
-
 def cmd_laws(args):
     seed = _seed_of(args)
-    rng = random.Random(seed)
-    reports = _suite_reports(args, rng)
+    reports = suites.REGISTRY[args.suite](
+        random.Random(seed),
+        field=args.field,
+        p=args.p,
+        samples=args.samples,
+        height=args.height,
+        digits=args.digits,
+    )
     ok = all(r.passed for r in reports)
     _emit(
         {
@@ -382,10 +244,10 @@ def build_parser():
 
     sp = sub.add_parser("laws", help="run a law suite; exit 1 on counterexamples")
     common(sp, digits=True)
-    sp.add_argument("--suite", required=True)
+    sp.add_argument("--suite", required=True, choices=list(suites.REGISTRY))
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--height", type=int, default=30)
+    sp.add_argument("--samples", type=_nonnegative, default=200)
+    sp.add_argument("--height", type=_nonnegative, default=30)
     sp.set_defaults(fn=cmd_laws)
 
     return parser

@@ -33,10 +33,6 @@ __all__ = [
     "from_cosets",
     "zero_element",
     "limit_arith",
-    "limit_add",
-    "limit_mul",
-    "limit_neg",
-    "limit_inv",
     "limit_eq",
     "to_approximation",
     "rebuild_from_digits",
@@ -444,22 +440,6 @@ def limit_arith(op, a, b=None):
     raise ValueError(f"unknown operation: {op!r}")
 
 
-def limit_add(a, b):
-    return limit_arith("add", a, b)
-
-
-def limit_mul(a, b):
-    return limit_arith("mul", a, b)
-
-
-def limit_neg(a):
-    return limit_arith("neg", a)
-
-
-def limit_inv(a):
-    return limit_arith("inv", a)
-
-
 def limit_eq(a, b, n):
     """Compare two coherent elements through level n.
 
@@ -539,7 +519,7 @@ def check_singlevalued(a, b, n, rng, chains=8):
     """
     report = LawReport("singlevalued-sum")
     field = a.field
-    total, _ = limit_add(a, b)
+    total, _ = limit_arith("add", a, b)
     try:
         vs = total.valuation()
     except PrecisionError:

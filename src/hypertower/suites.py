@@ -1,6 +1,7 @@
 """Reusable law suites behind the CLI and the acceptance tests.
 
-The centerpiece is the two-route membership suite for multivalued sums
+``REGISTRY`` names every suite that ``hypertower laws`` runs, in order,
+and maps each to the builder that runs it.  The centerpiece is the two-route membership suite for multivalued sums
 of classes: the defining enumeration route (a class belongs to a sum
 exactly when a quotient against one operand is a 1-unit at the level)
 against the implementation's ball-descriptor route.  Both routes are
@@ -13,8 +14,19 @@ import bisect
 from fractions import Fraction
 from math import gcd
 
-from .basefields import PadicRationals, padic_valuation
-from .cosets import coset_of, hyperadd, hypersum_contains
+from .basefields import PadicRationals, QuadraticExtension, make_field, padic_valuation
+from .cosets import coset_of, coset_value, hyperadd, hypersum_contains
+from .limit import (
+    check_singlevalued,
+    check_universal_property,
+    from_field,
+    hensel_finder,
+    limit_arith,
+    limit_eq,
+    rebuild_from_digits,
+    sigma_embed,
+    to_approximation,
+)
 from .oag import (
     INF,
     GroupElement,
@@ -25,14 +37,25 @@ from .oag import (
     trop_member,
     trop_translate,
 )
-from .sampling import sample_trop_value
-from .tower import LawReport
+from .sampling import sample_element, sample_trop_value
+from .tower import (
+    CosetCarrier,
+    LawReport,
+    LevelPair,
+    TropCarrier,
+    check_hom_law,
+    check_projection_containment,
+    check_slice_triangles,
+    cone_over_diagram,
+    project,
+)
 
 __all__ = [
     "reduced_rationals",
     "definitional_member",
     "lee_suite",
     "tropical_suite",
+    "REGISTRY",
 ]
 
 
@@ -304,3 +327,163 @@ def _trop_members(s, rng, arity):
         bump = GroupElement(tuple(rng.randint(0, 5) for _ in range(arity)))
         out.append(group_add(s.value, bump))
     return out
+
+
+# Builders behind ``hypertower laws``: (rng, *, field, p, samples, height,
+# digits) -> [LawReport], where ``field`` is a field kind for make_field.
+# They call the suites and checkers by module-global name, so a wrapper put
+# on a module attribute sees every call.
+
+
+def _lee(rng, *, field, p, samples, height, digits):
+    return [
+        lee_suite(
+            p,
+            gamma,
+            rng,
+            exhaustive_bound=min(height, 6),
+            sample_bound=height,
+            sample_pairs=samples,
+        )
+        for gamma in (0, 1, 2)
+    ]
+
+
+def _tropical(rng, *, field, p, samples, height, digits):
+    return [
+        tropical_suite(rng, samples, arity=1),
+        tropical_suite(rng, samples, arity=2),
+    ]
+
+
+_PAIRS = [LevelPair(a, b) for a in range(4) for b in range(a, 4)]
+
+
+def _over_field(suite):
+    """Builder for a suite run over the field kind it is given.
+
+    Every such suite first draws the same sample elements from the rng,
+    used or not: the rest of its stream starts after that draw, so
+    dropping it would change the report of every seed.
+    """
+
+    def build(rng, *, field, p, samples, height, digits):
+        field = make_field(field, p)
+        elements = [sample_element(field, rng, height) for _ in range(max(8, samples // 8))]
+        return suite(field, elements, rng, p=p, samples=samples, height=height, digits=digits)
+
+    build.takes_field = True
+    return build
+
+
+@_over_field
+def _hom(field, elements, rng, *, p, samples, height, digits):
+    reports = [
+        check_slice_triangles(field, _PAIRS, elements),
+        check_projection_containment(field, _PAIRS[:6], elements[:12]),
+    ]
+    count = samples // 4 or 8
+    for level in (0, 1, 2):
+        reports.append(
+            check_hom_law(CosetCarrier(field, level), TropCarrier(1), coset_value, rng, samples=count)
+        )
+    reports.append(
+        check_hom_law(
+            CosetCarrier(field, 3), CosetCarrier(field, 1), lambda c: project(c, 1), rng, samples=count
+        )
+    )
+    return reports
+
+
+@_over_field
+def _cone(field, elements, rng, *, p, samples, height, digits):
+    def plain_sides(g):
+        return lambda x: coset_of(field, x, g)
+
+    reports = [cone_over_diagram(plain_sides, _PAIRS, elements)]
+    if isinstance(field, PadicRationals):
+        # vertex of completed digit streams: sides truncate one digit
+        # past the level, which pins the class exactly
+        def stream_sides(g):
+            def side(x):
+                appr = field.expand(x, g + 1)
+                return coset_of(field, field.from_approximation(appr), g)
+
+            return side
+
+        reports.append(
+            cone_over_diagram(stream_sides, _PAIRS, [e for e in elements if not field.is_zero(e)])
+        )
+    return reports
+
+
+@_over_field
+def _singlevalued(field, elements, rng, *, p, samples, height, digits):
+    reports = []
+    for _ in range(max(4, samples // 16)):
+        a = from_field(field, sample_element(field, rng, height))
+        b = from_field(field, sample_element(field, rng, height))
+        reports.append(check_singlevalued(a, b, 12, rng, chains=4))
+    return reports
+
+
+@_over_field
+def _universal(field, elements, rng, *, p, samples, height, digits):
+    base = PadicRationals(p)
+    xs = [base.random_nonzero(rng, height) for _ in range(max(4, samples // 16))]
+    reports = [
+        check_universal_property(
+            base,
+            xs,
+            lambda x, g: coset_of(base, x, g),
+            [("plain", lambda x: from_field(base, x))],
+            12,
+        )
+    ]
+    if p % 2 and p != 3:
+        ext = QuadraticExtension(p)
+        rf = hensel_finder(ext, base)
+        ys = [ext.generator(), ext.element([2, 3])]
+        reports.append(
+            check_universal_property(
+                base,
+                ys,
+                lambda x, g: coset_of(base, rf(x, g), g),
+                [("sigma", lambda x: sigma_embed(x, rf))],
+                12,
+            )
+        )
+    return reports
+
+
+@_over_field
+def _oracle_roundtrip(field, elements, rng, *, p, samples, height, digits):
+    report = LawReport("oracle-roundtrip")
+    for _ in range(samples):
+        report.tick()
+        x = sample_element(field, rng, height)
+        y = sample_element(field, rng, height)
+        ex, ey = from_field(field, x), from_field(field, y)
+        jobs = [("add", field.add(x, y), limit_arith("add", ex, ey)[0]),
+                ("mul", field.mul(x, y), limit_arith("mul", ex, ey)[0]),
+                ("neg", field.neg(x), limit_arith("neg", ex)[0])]
+        if not field.is_zero(x):
+            jobs.append(("inv", field.inv(x), limit_arith("inv", ex)[0]))
+        for op, exact, lifted in jobs:
+            if to_approximation(lifted, digits) != field.expand(exact, digits):
+                report.fail(op=op, x=str(x), y=str(y))
+        rebuilt = rebuild_from_digits(field, to_approximation(ex, digits + 1))
+        if not limit_eq(ex, rebuilt, digits).equal:
+            report.fail(op="rebuild", x=str(x))
+    return [report]
+
+
+REGISTRY = {
+    "lee": _lee,
+    "tropical": _tropical,
+    "hom": _hom,
+    "cone": _cone,
+    "singlevalued": _singlevalued,
+    "universal": _universal,
+    "oracle-roundtrip": _oracle_roundtrip,
+}

@@ -6,18 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from hypertower.oag import INF
 from hypertower.basefields import (
+    _MR_BOUND,
     Approximation,
+    CauchyWitness,
     FpPoly,
     PadicRationals,
     QuadElement,
     QuadraticExtension,
     RatFunc,
     RationalFunctions,
-    f_arith,
     hensel_sqrt,
+    _is_prime,
     is_cauchy,
     make_field,
-    oracle_expand,
 )
 
 Q5 = PadicRationals(5)
@@ -28,18 +29,18 @@ E5 = QuadraticExtension(5)
 
 class TestArith:
     def test_rational_add(self):
-        assert f_arith(Q5, "add", Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+        assert Q5.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
 
     def test_function_field_mul(self):
         # (t+1)(t-1) = t^2 - 1 = t^2 + 4 over GF(5)
         a = F5T.poly(1, 1)
         b = F5T.poly(-1, 1)
-        assert f_arith(F5T, "mul", a, b) == F5T.poly(4, 0, 1)
+        assert F5T.mul(a, b) == F5T.poly(4, 0, 1)
 
     def test_quadratic_inv(self):
         # (0 + 1*r)^-1 = r/6 when r*r = 6
         alpha = E5.generator()
-        assert f_arith(E5, "inv", alpha) == QuadElement(5, 0, Fraction(1, 6))
+        assert E5.inv(alpha) == QuadElement(5, 0, Fraction(1, 6))
         assert E5.mul(alpha, E5.inv(alpha)) == E5.one()
 
     def test_inv_zero(self):
@@ -55,10 +56,6 @@ class TestArith:
             Q5.add(Fraction(1), F5T.one())
         with pytest.raises(ValueError):
             E5.add(E5.one(), QuadElement(7, 1, 0))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            f_arith(Q5, "pow", Fraction(2))
 
 
 class TestValuation:
@@ -123,20 +120,20 @@ def test_val_axioms_function_field(a, b, c, d):
 
 class TestExpand:
     def test_minus_one(self):
-        assert oracle_expand(Q5, -1, 4) == Approximation(0, (4, 4, 4, 4), 5)
+        assert Q5.expand(-1, 4) == Approximation(0, (4, 4, 4, 4), 5)
 
     def test_one_third(self):
         # inverse of 3 mod 625 is 417 = 2 + 3*5 + 1*25 + 3*125
-        assert oracle_expand(Q5, Fraction(1, 3), 4) == Approximation(0, (2, 3, 1, 3), 5)
+        assert Q5.expand(Fraction(1, 3), 4) == Approximation(0, (2, 3, 1, 3), 5)
 
     def test_one(self):
-        assert oracle_expand(Q5, 1, 6) == Approximation(0, (1, 0, 0, 0, 0, 0), 5)
+        assert Q5.expand(1, 6) == Approximation(0, (1, 0, 0, 0, 0, 0), 5)
 
     def test_zero(self):
-        assert oracle_expand(Q5, 0, 3) == Approximation(0, (0, 0, 0), 5)
+        assert Q5.expand(0, 3) == Approximation(0, (0, 0, 0), 5)
 
     def test_shifted(self):
-        got = oracle_expand(Q5, Fraction(3, 10), 3)
+        got = Q5.expand(Fraction(3, 10), 3)
         assert got.shift == -1
         # 3/10 = 5^-1 * 3/2; 3/2 mod 125 = 64 = 4 + 2*5 + 2*25
         assert got.digits == (4, 2, 2)
@@ -145,14 +142,14 @@ class TestExpand:
         # 1/(1-t) = 1 + t + t^2 + ...
         one = F5T.one()
         x = F5T.inv(F5T.poly(1, -1))
-        assert oracle_expand(F5T, x, 5) == Approximation(0, (1, 1, 1, 1, 1), 5)
+        assert F5T.expand(x, 5) == Approximation(0, (1, 1, 1, 1, 1), 5)
 
     def test_laurent_shift(self):
         x = F5T.mul(F5T.poly(2), F5T.inv(F5T.poly(0, 0, 1)))  # 2/t^2
-        assert oracle_expand(F5T, x, 3) == Approximation(-2, (2, 0, 0), 5)
+        assert F5T.expand(x, 3) == Approximation(-2, (2, 0, 0), 5)
 
     def test_quadratic_expand(self):
-        got = oracle_expand(E5, QuadElement(5, 2, 3), 5)
+        got = E5.expand(QuadElement(5, 2, 3), 5)
         assert got.shift == 2
         assert got.digits[0] == 2
 
@@ -269,6 +266,53 @@ class TestCauchy:
 
     def test_short_sequences(self):
         assert is_cauchy(Q5, [1], 0) is None
+
+    @pytest.mark.parametrize("field", [Q5, F5T, E5], ids=lambda f: f.kind)
+    def test_matches_pairwise_reference(self, field):
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(40):
+            # partial sums of terms whose valuation climbs, jolted now and then
+            x = field.random_element(rng, 20)
+            xs = []
+            for i in range(rng.randint(0, 7)):
+                k = rng.randint(-2, 3) if rng.random() < 0.3 else i
+                term = field.mul(field.random_element(rng, 20), field.uniformizer_pow(k))
+                x = field.add(x, term)
+                xs.append(x)
+            for gamma in (-1, 0, 1, 2, 3):
+                got = is_cauchy(field, xs, gamma)
+                assert got == _pairwise_cauchy(field, xs, gamma)
+                seen.add(None if got is None else min(got.nu0, 1))
+        assert seen == {None, 0, 1}
+
+
+def _pairwise_cauchy(field, xs, gamma):
+    """Reference for is_cauchy: try every start index, check every pair."""
+    xs = [field.check(x) for x in xs]
+    for nu0 in range(0, max(0, len(xs) - 1)):
+        if all(
+            field.sub_valuation(xs[i], xs[j]) > gamma
+            for i in range(nu0, len(xs))
+            for j in range(i + 1, len(xs))
+        ):
+            return CauchyWitness(nu0, gamma)
+    return None
+
+
+class TestPrimality:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(20001):
+            assert _is_prime(n) == sympy.isprime(n), n
+        big = (10**18 + 1, 10**18 + 3, 10**18 + 9, 2**61 - 1, 2**62 + 1, _MR_BOUND - 2)
+        for n in big:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    def test_bound_is_a_usage_error(self):
+        # the bound is composite yet a strong pseudoprime to all 13 bases
+        with pytest.raises(ValueError):
+            _is_prime(_MR_BOUND)
 
 
 class TestPolyAlgebra:

@@ -181,14 +181,6 @@ class TestCone:
 
 
 class TestLawReport:
-    def test_combine(self):
-        a = LawReport("a", samples=2, failures=[{"x": 1}])
-        b = LawReport("b", samples=3)
-        merged = LawReport.combine("both", [a, b])
-        assert merged.samples == 5
-        assert not merged.passed
-        assert merged.failures[0]["law"] == "a"
-
     def test_json_sorted(self):
         r = LawReport("demo", samples=1, failures=[{"b": 2}, {"a": 1}])
         doc = r.to_json()

@@ -69,19 +69,37 @@ def _is_prime(n):
 
 
 def int_valuation(n, p):
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer.
+
+    Most calls see a valuation of 0 or 1, so the test for p | n comes
+    first; past it, p = 2 reads the lowest set bit and other primes
+    divide by p, p^2, p^4, ... and back down, so a large valuation costs
+    a logarithmic number of big-integer divisions.
+    """
     if n == 0:
         raise ValueError("0 has no finite valuation")
-    n = abs(n)
+    if n % p:
+        return 0
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    steps = []
+    pk, k = p, 1
+    while n % pk == 0:
+        n //= pk
+        v += k
+        steps.append((pk, k))
+        pk, k = pk * pk, 2 * k
+    for pk, k in reversed(steps):
+        if n % pk == 0:
+            n //= pk
+            v += k
     return v
 
 
 def padic_valuation(q, p):
-    q = Fraction(q)
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
     if q == 0:
         return INF
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
@@ -197,7 +215,8 @@ class FpPoly:
         return FpPoly(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FpPoly(self.p, [self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
@@ -497,6 +516,15 @@ class PadicRationals(ValuedField):
     def valuation(self, x):
         return padic_valuation(self.check(x), self.p)
 
+    def sub_valuation(self, x, y):
+        # v(x - y) from the cross difference, without building x - y
+        x, y = self.check(x), self.check(y)
+        xd, yd, p = x.denominator, y.denominator, self.p
+        diff = x.numerator * yd - y.numerator * xd
+        if diff == 0:
+            return INF
+        return int_valuation(diff, p) - int_valuation(xd, p) - int_valuation(yd, p)
+
     def uniformizer_pow(self, k):
         return Fraction(self.p) ** k
 
@@ -573,6 +601,14 @@ class RationalFunctions(ValuedField):
 
     def valuation(self, x):
         return self.check(x).t_order()
+
+    def sub_valuation(self, x, y):
+        # t-order of x - y from the cross difference, with no gcd reduction
+        x, y = self.check(x), self.check(y)
+        diff = x.num * y.den - y.num * x.den
+        if diff.is_zero():
+            return INF
+        return diff.order() - x.den.order() - y.den.order()
 
     def uniformizer_pow(self, k):
         t = FpPoly.t_power(self.p, abs(k))
@@ -689,35 +725,43 @@ class QuadraticExtension(ValuedField):
         return x % self.p ** k
 
     def _window(self, x, n):
-        """(valuation, first n digits) of the embedded image of x.
+        """(valuation, first n digits of the unit part as one integer) of
+        the embedded image of x; (INF, 0) for zero.
 
-        The norm a^2 - (1+p) b^2 bounds how deep the leading digit can
-        hide, so the search window is finite and the result exact.
+        Works on the integer numerators and denominators of the two
+        components.  The norm a^2 - (1+p) b^2 bounds how deep the leading
+        digit can hide, so the search window is finite and the result exact.
         """
         x = self.check(x)
-        if x.is_zero():
-            return INF, (0,) * n
-        vals = []
-        if x.a != 0:
-            vals.append(padic_valuation(x.a, self.p))
-        if x.b != 0:
-            vals.append(padic_valuation(x.b, self.p))
+        p = self.p
+        an, ad = x.a.numerator, x.a.denominator
+        bn, bd = x.b.numerator, x.b.denominator
+        vad, vbd = int_valuation(ad, p), int_valuation(bd, p)
+        vals = [int_valuation(num, p) - vden for num, vden in ((an, vad), (bn, vbd)) if num]
+        if not vals:
+            return INF, 0
         m = min(vals)
-        bound = padic_valuation(x.norm(), self.p)  # = v(x) + v(conj x)
+        # v(norm) = v(x) + v(conj x), from the cross-multiplied norm
+        norm = an * an * bd * bd - (1 + p) * bn * bn * ad * ad
+        bound = int_valuation(norm, p) - 2 * (vad + vbd)
         span = (bound - 2 * m) + n + 1
-        modulus = self.p ** span
-        scale = Fraction(self.p) ** m
+        modulus = p ** span
 
-        def _residue(q):
-            q = q / scale
-            return q.numerator * pow(q.denominator, -1, modulus) % modulus
+        def _residue(num, den, vden):
+            # num / (den * p^m) mod p^span; v(num / den) >= m by choice of m
+            if num == 0:
+                return 0
+            shift = m + vden
+            num = num // p ** shift if shift >= 0 else num * p ** -shift
+            if vden:
+                den //= p ** vden
+            return num * pow(den, -1, modulus)
 
-        u = (_residue(x.a) + _residue(x.b) * self.root_mod(span)) % modulus
+        u = (_residue(an, ad, vad) + _residue(bn, bd, vbd) * self.root_mod(span)) % modulus
         if u == 0:
             raise AssertionError("window exhausted before the leading digit")
-        ord_u = int_valuation(u, self.p)
-        digits = _digits_of(u // self.p ** ord_u % self.p ** n, self.p, n)
-        return m + ord_u, digits
+        ord_u = int_valuation(u, p)
+        return m + ord_u, u // p ** ord_u % p ** n
 
     def valuation(self, x):
         return self._window(x, 1)[0]
@@ -725,10 +769,8 @@ class QuadraticExtension(ValuedField):
     def expand(self, x, n):
         if n < 1:
             raise ValueError("precision must be >= 1")
-        v, digits = self._window(x, n)
-        if v is INF:
-            return Approximation(0, digits, self.p)
-        return Approximation(v, digits, self.p)
+        v, unit = self._window(x, n)
+        return Approximation(0 if v is INF else v, _digits_of(unit, self.p, n), self.p)
 
     def representative(self, x, level):
         """A rational whose level-`level` class is the image of x.
@@ -738,15 +780,12 @@ class QuadraticExtension(ValuedField):
         """
         if level < 0:
             raise ValueError("negative level")
-        x = self.check(x)
-        if x.is_zero():
+        v, unit = self._window(x, level + 1)
+        if v is INF:
             return Fraction(0)
-        v, digits = self._window(x, level + 1)
-        total = Fraction(0)
-        for i, d in enumerate(digits):
-            if d:
-                total += d * Fraction(self.p) ** (v + i)
-        return total
+        if v >= 0:
+            return Fraction(unit * self.p ** v)
+        return Fraction(unit, self.p ** -v)
 
     def from_approximation(self, appr):
         return QuadElement(self.p, self._resum(appr), Fraction(0))

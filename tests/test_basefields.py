@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hypertower.basefields import (
     RatFunc,
     RationalFunctions,
     hensel_sqrt,
+    int_valuation,
     _is_prime,
     is_cauchy,
     make_field,
@@ -116,6 +118,93 @@ def test_val_axioms_function_field(a, b, c, d):
     vs = F5T.valuation(x + y)
     assert vs >= min(F5T.valuation(x), F5T.valuation(y))
     assert F5T.valuation(x * y) == F5T.valuation(x) + F5T.valuation(y)
+
+
+class TestIntValuation:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(23)
+        for p in (2, 3, 5, 7, 13, 101):
+            for _ in range(300):
+                k = rng.choice((0, 0, 1, 2, rng.randint(3, 70)))
+                n = rng.choice((-1, 1)) * rng.randint(1, 10**6) * p**k
+                assert int_valuation(n, p) == sympy.multiplicity(p, n), (n, p)
+
+    @pytest.mark.parametrize("p,v,unit", [(2, 100000, 3), (5, 20000, 7)])
+    def test_large_powers(self, p, v, unit):
+        n = p**v * unit
+        start = time.perf_counter()
+        assert int_valuation(n, p) == v
+        assert int_valuation(-n, p) == v
+        assert time.perf_counter() - start < 0.1
+
+    def test_zero(self):
+        with pytest.raises(ValueError):
+            int_valuation(0, 5)
+
+
+def _shifted_elements(field, rng, count):
+    """Seeded elements with p-power denominators and shifts by p^(+-k)."""
+    p = field.p
+    out = []
+    for _ in range(count):
+        x = field.random_element(rng, 40)
+        x = field.mul(x, field.uniformizer_pow(rng.randint(-4, 4)))
+        if isinstance(field, QuadraticExtension):
+            a = x.a / p ** rng.randint(0, 3)
+            b = x.b * Fraction(p) ** rng.randint(-3, 3)
+            x = QuadElement(p, a, b)
+        out.append(x)
+    return out
+
+
+class TestKernels:
+    """The integer kernels against plain field arithmetic."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [Q5, Q2, F5T, RationalFunctions(2), E5, QuadraticExtension(13)],
+        ids=lambda f: f"{f.kind}-{f.p}",
+    )
+    def test_sub_valuation_matches_difference(self, field):
+        rng = random.Random(29)
+        xs = _shifted_elements(field, rng, 60)
+        ys = _shifted_elements(field, rng, 60)
+        for x, y in zip(xs, ys):
+            # near - x = y * p^k: a difference k digits deeper than y
+            near = field.add(x, field.mul(y, field.uniformizer_pow(rng.randint(0, 6))))
+            for a, b in ((x, y), (x, near), (y, x), (x, field.zero()), (field.zero(), y)):
+                assert field.sub_valuation(a, b) == field.valuation(field.sub(a, b))
+            assert field.sub_valuation(x, x) is INF
+            assert field.sub_valuation(field.zero(), field.zero()) is INF
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_representative_matches_digit_resum(self, p):
+        field = QuadraticExtension(p)
+        rng = random.Random(31 + p)
+        xs = [field.generator(), field.one(), field.zero()] + _shifted_elements(field, rng, 12)
+        for x in xs:
+            for level in range(41):
+                want = _digit_resum_representative(field, x, level)
+                assert field.representative(x, level) == want
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_generator_matches_hensel(self, p):
+        field = QuadraticExtension(p)
+        assert field.expand(field.generator(), 40) == hensel_sqrt(p, 1 + p, 1, 40)
+
+
+def _digit_resum_representative(field, x, level):
+    """Reference for representative: resum the digits of expand(x, level + 1)
+    one Fraction term at a time."""
+    if field.is_zero(x):
+        return Fraction(0)
+    appr = field.expand(x, level + 1)
+    total = Fraction(0)
+    for i, d in enumerate(appr.digits):
+        if d:
+            total += d * Fraction(field.p) ** (appr.shift + i)
+    return total
 
 
 class TestExpand:

@@ -206,3 +206,108 @@ def test_quadratic_element_parse(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["shift"] == 2
+
+
+_QUAD = '{"a": "2/25", "b": "-3/5"}'
+_FUNC = '{"num": [0, 2, 1], "den": [0, 0, 3, 1]}'
+# argv and sha256 of stdout for the commands that run on the field kernels,
+# recorded before those kernels moved onto integer numerators and
+# denominators; _QUAD and the -pden inputs have p-power denominators
+COMMAND_DIGESTS = {
+    "expand-rational": (
+        ("expand", "--p", "5", "--x=-7/50", "--digits", "12"),
+        "295d85b5947646c2d7054b58c10351ce102f8a05226cad01cf8af83284435cbd",
+    ),
+    "expand-function": (
+        ("expand", "--field", "function", "--p", "5", "--x", _FUNC, "--digits", "12"),
+        "e2f91f1b08645ecf609c6765901b26c01d39fdf1f1dd6139998c7bcb7290fbea",
+    ),
+    "expand-quadratic": (
+        ("expand", "--field", "quadratic", "--p", "7", "--x", "[3, -2]", "--digits", "12"),
+        "1ce7f60bf108b307b268cc1bfec50bd41ed54048acf0e5a459196598b49a9bda",
+    ),
+    "expand-quadratic-pden": (
+        ("expand", "--field", "quadratic", "--p", "5", "--x", _QUAD, "--digits", "12"),
+        "ea5969375d09259ed75854cdd89c378d92bd929d8b8ca445a65db01bd1d41822",
+    ),
+    "embed": (
+        ("embed", "--p", "13", "--digits", "20"),
+        "bdbddc91e879a881625dba8e6824159aa17ddc28ee42aa922ca6be385a7789e1",
+    ),
+    "embed-pden": (
+        ("embed", "--p", "7", "--x", '{"a": "1/49", "b": "5/7"}', "--digits", "10"),
+        "da86df47ab6280652f899f02cd1896240efa881d33f5256b60aa3fd0c188f096",
+    ),
+    "coset-rational": (
+        ("coset", "--p", "5", "--gamma", "3", "--x=-7/50"),
+        "792c3bd19f6e4fba4dbb8b5a46b7d338433a12ba79dc717f4f887d6bf4d758fb",
+    ),
+    "coset-function": (
+        ("coset", "--field", "function", "--p", "5", "--gamma", "3", "--x", _FUNC),
+        "ca52069140849d136652983ad6fc30c206b79e614cb5da488f60246492762ecf",
+    ),
+    "coset-quadratic": (
+        ("coset", "--field", "quadratic", "--p", "5", "--gamma", "3", "--x", _QUAD),
+        "1890b7d32481989786216aeb1416410638309f7e75affd54f162a4389d3b857e",
+    ),
+    "hyperadd-rational": (
+        ("hyperadd", "--p", "5", "--gamma", "2", "--x=3/25", "--y=-2/25"),
+        "53681d8313b8329f14afe36c205c4cd8ef2ecfda40dd212951f3664dc696a78f",
+    ),
+    "hyperadd-function": (
+        ("hyperadd", "--field", "function", "--p", "5", "--gamma", "2",
+         "--x", _FUNC, "--y", "[4, 3]"),
+        "177ca368591b2900deb18f39026c692ae2d77a1af61ac7d0c5bcc6fcf4026166",
+    ),
+    "hyperadd-quadratic": (
+        ("hyperadd", "--field", "quadratic", "--p", "5", "--gamma", "2",
+         "--x", _QUAD, "--y", "[1, 1]"),
+        "58cf0ffd5836059077a7996b8d67b3443680cd7630b181eb2c61dc779caf5958",
+    ),
+    "limit-arith-rational": (
+        ("limit-arith", "--op", "mul", "--p", "5", "--lhs=-7/50", "--rhs", "26",
+         "--digits", "10"),
+        "98621b1ccbddda79efc3c9f04013adb144b9391f5a50c7a1487be88a63369d1b",
+    ),
+    "limit-arith-function": (
+        ("limit-arith", "--op", "add", "--field", "function", "--p", "5",
+         "--lhs", _FUNC, "--rhs", "[4, 3]", "--digits", "10"),
+        "7431b31090e0f181a93c9231165162fd36c471fc160b37a363e9f5bb8ba71172",
+    ),
+    "limit-arith-function-inv": (
+        ("limit-arith", "--op", "inv", "--field", "function", "--p", "5",
+         "--lhs", _FUNC, "--digits", "10"),
+        "b9cbcdbd8945a59e7904e6b20ba0af9e0e84d2a28189204ebf501950abf6c6ca",
+    ),
+    "limit-arith-quadratic-mul": (
+        ("limit-arith", "--op", "mul", "--field", "quadratic", "--p", "7",
+         "--lhs", '{"a": "1/49", "b": "5/7"}', "--rhs", "[3, -2]", "--digits", "10"),
+        "3c3d7b404a80e77d556f6097455fc67d42006917e4c199f73a3711ec79d97dff",
+    ),
+    "limit-arith-quadratic": (
+        ("limit-arith", "--op", "inv", "--field", "quadratic", "--p", "5",
+         "--lhs", _QUAD, "--digits", "10"),
+        "153e1d5bc954b93f967fd73f0b913092dfdbae79942f31cb5ca4e247e5274761",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(COMMAND_DIGESTS))
+def test_command_bytes(capsys, name):
+    argv, digest = COMMAND_DIGESTS[name]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FIELD_SUITES = [
+    name for name, build in suites.REGISTRY.items() if getattr(build, "takes_field", False)
+]
+
+
+@pytest.mark.parametrize("suite", FIELD_SUITES)
+def test_field_suite_height_zero_exit_two(capsys, suite):
+    code, out, err = invoke(capsys, "laws", "--suite", suite, "--seed", "1", "--height", "0")
+    assert code == 2
+    assert out == ""
+    assert suite in err and "--height" in err

@@ -261,10 +261,7 @@ def run(argv=None):
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -178,10 +178,7 @@ def hyperadd(a, b):
 
 def hypersum_contains(s, c):
     """Whether the class c belongs to the multivalued sum."""
-    if s.field != c.field:
-        raise ValueError("cosets from different fields")
-    if s.level != c.level:
-        raise ValueError(f"level mismatch: {s.level} vs {c.level}")
+    _same_world(s, c)
     if s.singleton is not None:
         return coset_eq(c, s.singleton)
     if c.is_zero():

@@ -42,7 +42,7 @@ __all__ = [
     "check_universal_property",
 ]
 
-DEFAULT_ZERO_PROBE = 64
+ZERO_PROBE = 64
 
 
 class CoherenceError(RuntimeError):
@@ -150,7 +150,6 @@ class CoherentElement:
         *,
         exact,
         known_valuation=None,
-        zero_probe_bound=DEFAULT_ZERO_PROBE,
         ledger=None,
         provenance=None,
     ):
@@ -158,7 +157,6 @@ class CoherentElement:
         self._generator = generator
         self.exact = exact
         self._valuation = known_valuation
-        self.zero_probe_bound = zero_probe_bound
         self.ledger = ledger or PrecisionLedger()
         self.provenance = provenance or {"kind": "opaque"}
         self._memo = {}
@@ -229,21 +227,16 @@ class CoherentElement:
             v = self.field.valuation(self.at(0).rep)
             self._valuation = v
             return v
-        for level in range(self.zero_probe_bound + 1):
+        for level in range(ZERO_PROBE + 1):
             c = self.at(level)
             if not c.is_zero():
                 v = c.value()
                 self._valuation = v
                 return v
-        raise PrecisionError(
-            f"no nonzero class within probe bound {self.zero_probe_bound}"
-        )
+        raise PrecisionError(f"no nonzero class within probe bound {ZERO_PROBE}")
 
     def is_zero_within_probe(self):
-        try:
-            return self.valuation() is INF
-        except PrecisionError:
-            return True
+        return _value_or_inf(self) is INF
 
     def to_json(self, levels=4):
         return {
@@ -269,7 +262,7 @@ def zero_element(field):
     return from_field(field, field.zero())
 
 
-def from_cosets(field, chain, *, exact=False, known_valuation=None):
+def from_cosets(field, chain, *, known_valuation=None):
     """Coherent element backed by an explicit per-level chain of classes.
 
     The chain may be a list (prefix) or a callable; coherence is checked
@@ -290,48 +283,83 @@ def from_cosets(field, chain, *, exact=False, known_valuation=None):
     return CoherentElement(
         field,
         gen,
-        exact=exact,
+        exact=False,
         known_valuation=known_valuation,
         provenance={"kind": "chain"},
     )
 
 
+def _value_or_inf(e):
+    """The element's valuation, or INF when the zero probe finds no witness."""
+    try:
+        return e.valuation()
+    except PrecisionError:
+        return INF
+
+
+def _levelwise(op, fn, args, *, shift=0, exact, valuation, ledger):
+    """The element whose level-g class is that of fn(reps of args at g + shift).
+
+    The one construction site of derived elements.  Each link of a chain
+    of derived elements costs two frames when a level materializes (``at``
+    and the generator), so the generators are written out per arity.
+    """
+    field = args[0].field
+    if len(args) == 1:
+        (a,) = args
+
+        def gen(level):
+            return coset_of(field, fn(a.at(level + shift).rep), level)
+
+    else:
+        a, b = args
+
+        def gen(level):
+            q = level + shift
+            return coset_of(field, fn(a.at(q).rep, b.at(q).rep), level)
+
+    return CoherentElement(
+        field,
+        gen,
+        exact=exact,
+        known_valuation=valuation,
+        ledger=ledger,
+        provenance={"kind": "arith", "op": op},
+    )
+
+
 def _add_elements(a, b):
     field = a.field
-    va = a.valuation() if not a.is_zero_within_probe() else INF
-    vb = b.valuation() if not b.is_zero_within_probe() else INF
+    va, vb = _value_or_inf(a), _value_or_inf(b)
+    ledger = a.ledger.merged(b.ledger)
     if va is INF and vb is INF:
-        out = zero_element(field)
-        return out, a.ledger.merged(b.ledger)
+        return zero_element(field), ledger
     if va is INF or vb is INF:
         src = b if va is INF else a
-        ledger = a.ledger.merged(b.ledger)
         out = CoherentElement(
             field,
             src.at,
             exact=src.exact,
             known_valuation=src._valuation,
-            zero_probe_bound=src.zero_probe_bound,
             ledger=ledger,
             provenance={"kind": "arith", "op": "add"},
         )
         return out, ledger
     m = min(va, vb)
-    bound = max(a.zero_probe_bound, b.zero_probe_bound)
 
     if a.exact and b.exact:
         # exact representatives are the elements themselves
         s = field.add(a.at(0).rep, b.at(0).rep)
         vs = field.valuation(s)
         if vs is INF:
-            return zero_element(field), a.ledger.merged(b.ledger)
+            return zero_element(field), ledger
         discovered = vs - m
     else:
         # discover the valuation of the sum: a nonzero level sum whose
         # value does not exceed level + m pins it down exactly
         vs = None
         discovered = None
-        for level in range(bound + 1):
+        for level in range(ZERO_PROBE + 1):
             s = field.add(a.at(level).rep, b.at(level).rep)
             if not field.is_zero(s):
                 v = field.valuation(s)
@@ -341,85 +369,38 @@ def _add_elements(a, b):
         if vs is None:
             # indistinguishable from zero within the probe bound
             out = zero_element(field)
-            ledger = a.ledger.merged(b.ledger)
-            out.provenance = {"kind": "arith", "op": "add", "apparent_zero_at": bound}
+            out.provenance = {"kind": "arith", "op": "add", "apparent_zero_at": ZERO_PROBE}
             return out, ledger
 
-    loss = vs - m
-    entry = LossEntry("add", m, vs, discovered)
-    ledger = a.ledger.merged(b.ledger, extra=entry)
-
-    def gen(level):
-        q = level + loss
-        return coset_of(field, field.add(a.at(q).rep, b.at(q).rep), level)
-
-    out = CoherentElement(
-        field,
-        gen,
-        exact=a.exact and b.exact,
-        known_valuation=vs,
-        zero_probe_bound=bound,
-        ledger=ledger,
-        provenance={"kind": "arith", "op": "add"},
+    ledger = ledger.merged(extra=LossEntry("add", m, vs, discovered))
+    out = _levelwise(
+        "add", field.add, (a, b), shift=vs - m,
+        exact=a.exact and b.exact, valuation=vs, ledger=ledger,
     )
     return out, ledger
 
 
 def _mul_elements(a, b):
-    field = a.field
     ledger = a.ledger.merged(b.ledger)
-    za, zb = a.is_zero_within_probe(), b.is_zero_within_probe()
-    if za or zb:
-        return zero_element(field), ledger
-    va, vb = a.valuation(), b.valuation()
-    out = CoherentElement(
-        field,
-        lambda level: coset_of(
-            field, field.mul(a.at(level).rep, b.at(level).rep), level
-        ),
-        exact=a.exact and b.exact,
-        known_valuation=va + vb,
-        zero_probe_bound=max(a.zero_probe_bound, b.zero_probe_bound),
-        ledger=ledger,
-        provenance={"kind": "arith", "op": "mul"},
+    va, vb = _value_or_inf(a), _value_or_inf(b)
+    if va is INF or vb is INF:
+        return zero_element(a.field), ledger
+    out = _levelwise(
+        "mul", a.field.mul, (a, b), exact=a.exact and b.exact, valuation=va + vb, ledger=ledger
     )
     return out, ledger
 
 
-def _neg_element(a):
-    field = a.field
-    out = CoherentElement(
-        field,
-        lambda level: coset_of(field, field.neg(a.at(level).rep), level),
-        exact=a.exact,
-        known_valuation=a._valuation,
-        zero_probe_bound=a.zero_probe_bound,
-        ledger=a.ledger,
-        provenance={"kind": "arith", "op": "neg"},
-    )
-    return out, a.ledger
-
-
 def _inv_element(a):
-    field = a.field
     try:
         va = a.valuation()
     except PrecisionError as exc:
         raise PrecisionError(
-            f"cannot invert: probe bound {a.zero_probe_bound} reached "
-            "without a nonzero witness"
+            f"cannot invert: probe bound {ZERO_PROBE} reached without a nonzero witness"
         ) from exc
     if va is INF:
         raise ZeroDivisionError("inverse of the zero element")
-    out = CoherentElement(
-        field,
-        lambda level: coset_of(field, field.inv(a.at(level).rep), level),
-        exact=a.exact,
-        known_valuation=-va,
-        zero_probe_bound=a.zero_probe_bound,
-        ledger=a.ledger,
-        provenance={"kind": "arith", "op": "inv"},
-    )
+    out = _levelwise("inv", a.field.inv, (a,), exact=a.exact, valuation=-va, ledger=a.ledger)
     return out, a.ledger
 
 
@@ -434,7 +415,10 @@ def limit_arith(op, a, b=None):
     if op == "mul":
         return _mul_elements(a, b)
     if op == "neg":
-        return _neg_element(a)
+        out = _levelwise(
+            "neg", a.field.neg, (a,), exact=a.exact, valuation=a._valuation, ledger=a.ledger
+        )
+        return out, a.ledger
     if op == "inv":
         return _inv_element(a)
     raise ValueError(f"unknown operation: {op!r}")
@@ -520,18 +504,15 @@ def check_singlevalued(a, b, n, rng, chains=8):
     report = LawReport("singlevalued-sum")
     field = a.field
     total, _ = limit_arith("add", a, b)
-    try:
-        vs = total.valuation()
-    except PrecisionError:
-        vs = INF
-    if a.is_zero_within_probe() or b.is_zero_within_probe():
+    vs, va, vb = _value_or_inf(total), _value_or_inf(a), _value_or_inf(b)
+    if va is INF or vb is INF:
         # singleton descriptors at every level: the canonical choice is
         # the only member, nothing to vary
         report.tick()
-        if not limit_eq(total, b if a.is_zero_within_probe() else a, n).equal:
+        if not limit_eq(total, b if va is INF else a, n).equal:
             report.fail(law_part="degenerate-sum")
         return report
-    m = min(a.valuation(), b.valuation())
+    m = min(va, vb)
 
     for i in range(chains):
         report.tick()
@@ -590,36 +571,35 @@ def check_universal_property(field, samples, sides, candidates, n):
             provenance={"kind": "mediating"},
         )
 
+    def first_miss(e, x):
+        # first level through n where e leaves the sides; a CoherenceError
+        # on the way propagates and names its own level
+        for level in range(n + 1):
+            if not coset_eq(e.at(level), sides(x, level)):
+                return level
+        return None
+
     for x in samples:
         report.tick()
-        h = mediate(x)
         try:
-            for level in range(n + 1):
-                if not coset_eq(h.at(level), sides(x, level)):
-                    report.fail(law_part="factorization", element=repr(x), level=level)
-                    break
+            miss = first_miss(mediate(x), x)
         except CoherenceError as exc:
             report.fail(law_part="cone-coherence", element=repr(x), level=exc.level)
             continue
+        if miss is not None:
+            report.fail(law_part="factorization", element=repr(x), level=miss)
         for label, make in candidates:
-            agrees = True
-            first_bad = None
             try:
                 e = make(x)
-                for level in range(n + 1):
-                    if not coset_eq(e.at(level), sides(x, level)):
-                        agrees = False
-                        first_bad = level
-                        break
+                miss = first_miss(e, x)
             except CoherenceError as exc:
-                agrees = False
-                first_bad = exc.level
-            if not agrees:
+                miss = exc.level
+            if miss is not None:
                 report.fail(
                     law_part="not-a-factorization",
                     candidate=label,
                     element=repr(x),
-                    level=first_bad,
+                    level=miss,
                 )
                 continue
             verdict = limit_eq(e, mediate(x), n)

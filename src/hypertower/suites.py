@@ -436,8 +436,10 @@ def _singlevalued(field, elements, rng, *, p, samples, height, digits):
     return reports
 
 
-@_over_field
-def _universal(field, elements, rng, *, p, samples, height, digits):
+def _universal(rng, *, field, p, samples, height, digits):
+    # the cone over the p-adic rationals, whatever the field kind
+    if height < 1:
+        raise ValueError(f"suite 'universal' needs --height >= 1, got {height}")
     base = PadicRationals(p)
     xs = [base.random_nonzero(rng, height) for _ in range(max(4, samples // 16))]
     reports = [

@@ -305,6 +305,22 @@ class TestHensel:
         with pytest.raises(ValueError):
             hensel_sqrt(5, 25, 1, 3)
 
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(32)
+        for p in (3, 5, 7, 13, 101):
+            for _ in range(20):
+                s = rng.randint(1, p - 1)
+                d = rng.choice([k for k in range(1, 30) if k % p])
+                c = Fraction(s * s * d % p + p * rng.randint(0, 50), d)  # c = s^2 mod p
+                n = rng.randint(1, 20)
+                m = p ** n
+                appr = hensel_sqrt(p, c, s, n)
+                root = sum(digit * p ** i for i, digit in enumerate(appr.digits))
+                cmod = c.numerator * pow(c.denominator, -1, m) % m
+                roots = sympy.ntheory.sqrt_mod(cmod, m, all_roots=True)
+                assert [root] == [r for r in roots if r % p == s], (p, c, s, n)
+
 
 class TestQuadraticField:
     def test_bad_primes(self):
@@ -423,6 +439,35 @@ class TestPolyAlgebra:
     def test_zero_den(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(FpPoly(5, (1,)), FpPoly(5))
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        rng = random.Random(31)
+
+        def to_sympy(f):
+            return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=f.p)
+
+        def from_sympy(g, p):
+            # sympy prints symmetric residues; FpPoly reduces them mod p
+            return FpPoly(p, reversed(g.all_coeffs()))
+
+        def draw(p, lo, hi):
+            return FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(lo, hi))])
+
+        for p in (2, 3, 5, 7):
+            for _ in range(40):
+                # a shared factor makes most gcds nontrivial
+                common = draw(p, 1, 3)
+                if common.is_zero():
+                    common = FpPoly.constant(p, 1)
+                a, b = draw(p, 0, 8) * common, draw(p, 1, 6) * common
+                if b.is_zero():
+                    continue
+                sq, sr = divmod(to_sympy(a), to_sympy(b))
+                assert divmod(a, b) == (from_sympy(sq, p), from_sympy(sr, p)), (a, b)
+                g = to_sympy(a).gcd(to_sympy(b))
+                assert FpPoly.gcd(a, b) == from_sympy(g, p).monic(), (a, b)
 
 
 class TestJson:

@@ -149,14 +149,19 @@ LAWS_DIGESTS = {
     "oracle-roundtrip-quadratic": "04519a32c2cf0e5d1b716fa89e3e63bc7822b71fd6d6284d492babc5d32d639b",
 }
 FIELDS = (None, "function", "quadratic")
+FIELD_SUITES = [
+    name for name, build in suites.REGISTRY.items() if getattr(build, "takes_field", False)
+]
+# universal ignores --field, but still runs with each one, and needs a height
+SWEPT_SUITES = FIELD_SUITES + ["universal"]
 
 
 @pytest.mark.parametrize(
     "suite,field",
     [
         pytest.param(name, field, id=name if field is None else f"{name}-{field}")
-        for name, build in suites.REGISTRY.items()
-        for field in (FIELDS if getattr(build, "takes_field", False) else (None,))
+        for name in suites.REGISTRY
+        for field in (FIELDS if name in SWEPT_SUITES else (None,))
     ],
 )
 def test_every_suite_reachable(capsys, suite, field):
@@ -168,6 +173,14 @@ def test_every_suite_reachable(capsys, suite, field):
     assert json.loads(out)["pass"] is True
     key = suite if field is None else f"{suite}-{field}"
     assert hashlib.sha256(out.encode()).hexdigest() == LAWS_DIGESTS[key]
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_universal_ignores_field(capsys, p):
+    # the quadratic extension rejects p = 2 and 3; universal never builds it
+    code, out, _ = invoke(capsys, "laws", "--suite", "universal", "--field", "quadratic", "--p", p)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--height"])
@@ -300,12 +313,7 @@ def test_command_bytes(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-FIELD_SUITES = [
-    name for name, build in suites.REGISTRY.items() if getattr(build, "takes_field", False)
-]
-
-
-@pytest.mark.parametrize("suite", FIELD_SUITES)
+@pytest.mark.parametrize("suite", SWEPT_SUITES)
 def test_field_suite_height_zero_exit_two(capsys, suite):
     code, out, err = invoke(capsys, "laws", "--suite", suite, "--seed", "1", "--height", "0")
     assert code == 2

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from hypertower.limit import (
 Q5 = PadicRationals(5)
 E5 = QuadraticExtension(5)
 RF5 = hensel_finder(E5, Q5)
+F5T = RationalFunctions(5)
 
 
 class TestFromField:
@@ -170,6 +173,84 @@ class TestArith:
                 assert limit_eq(prod_sum, sum_prod, 12).equal
 
 
+def _derived_cases():
+    """Name -> (op, operands) over seeded inputs, built fresh per call."""
+    rng = random.Random(11)
+    inputs = {
+        kind: [from_field(field, field.random_nonzero(rng, 20)) for _ in range(2)]
+        for kind, field in (("rational", Q5), ("function", F5T), ("quadratic", E5))
+    }
+    s = sigma_embed(E5.generator(), RF5)
+    inputs["sigma"] = [s, sigma_embed(E5.element([2, 3]), RF5)]
+    cases = {}
+    for kind, (x, y) in inputs.items():
+        cases[f"add-{kind}"] = ("add", x, y)
+        cases[f"mul-{kind}"] = ("mul", x, y)
+        cases[f"neg-{kind}"] = ("neg", x)
+        cases[f"inv-{kind}"] = ("inv", x)
+    cases["add-zero-operand"] = ("add", zero_element(Q5), from_field(Q5, 7))
+    cases["add-zero-operand-sigma"] = ("add", s, zero_element(Q5))
+    cases["mul-zero-operand"] = ("mul", zero_element(Q5), s)
+    cases["add-one-minus-one"] = ("add", from_field(Q5, 1), from_field(Q5, -1))
+    cases["add-loss-four"] = ("add", from_field(Q5, 1), from_field(Q5, 624))
+    cases["add-apparent-zero"] = ("add", s, limit_arith("neg", s)[0])
+    return cases
+
+
+# sha256 of each derived element's exactness flag, first six classes and
+# ledger, recorded before the arithmetic moved onto one level-wise builder
+DERIVED_DIGESTS = {
+    "add-apparent-zero": "325bb31fb14ce77663c0e825ed754a54080ca55aefbbd8783453d20369d87391",
+    "add-function": "4926310d8145f882a0a496911f6db5cc05be9e1846543d70ccad157262815e2f",
+    "add-loss-four": "312456fe3aad135f7bde5c31a680991f1cf50bbce1c5f1a382ee7b6e9a746f9b",
+    "add-one-minus-one": "a92e3e83b64f62c07d0df99e87c9a2bcdf00c5aee1477dea9a9d1b9a2154cc78",
+    "add-quadratic": "63e55d497c55339d32a4bffd8a781fc1fca2c608e9230194dc4e5c0382801761",
+    "add-rational": "550f8604dce00b880e1d96c82368d4162f75a0f9543397183788243afedd4783",
+    "add-sigma": "b269871988ca4415df74312f494f02a99dcb6a3ea7b7ab0a20b54918f6d0e8e1",
+    "add-zero-operand": "78c8cc1a449c77150f5214371eebf7e38c8556d6bafdd2d4815af5ccd67d6244",
+    "add-zero-operand-sigma": "08720608fb4a350776669682143760660f3d41146dd0bb84e770abe2a666f543",
+    "inv-function": "8fb78b731fa2c553a6b1fe055a136b225820efc4c1bd5b85f52b63f4029bd691",
+    "inv-quadratic": "029625c000de3fa72d55618db44b00b6b5da15e6995f32b678cdeeba623d41b9",
+    "inv-rational": "a529b62c1879a4c11a13ba90f3cd4f6ce8b04149d5024dde008ee845c084dc9e",
+    "inv-sigma": "36461a05e1adb65b94b5d6e34d33fbe3d3f09bda188c2aa75e9190c17079ad2e",
+    "mul-function": "2324405965a456beeb37cfb82e6aee8c645b74baf88bcc2f8a4a53f1638fb0be",
+    "mul-quadratic": "e882aa882be2209f950bd6bc825c85ba48c6fc9c56eff6ac079fbd14a07d5710",
+    "mul-rational": "3fe6c7d197768e2626e3cad26adaeefab40849bbd2cbbabb61ec823f795e8e66",
+    "mul-sigma": "dc56dc52e1d8fb2c4e8bc81d2eeccdc4442bb9d928f092ef7d7d5642fc721d61",
+    "mul-zero-operand": "a92e3e83b64f62c07d0df99e87c9a2bcdf00c5aee1477dea9a9d1b9a2154cc78",
+    "neg-function": "9343549ab5329997ed6425e82a30b76c5d5d26ea91025ae259cebfe360ac6019",
+    "neg-quadratic": "d8b8c9d2ec6349d8d0f18a83f73c11d6ec3e807c0d8806f21e36fc1ed37ea6fc",
+    "neg-rational": "d5755ef1621f2426de3693cdb7d156cb6d6704c6b74dd7c912124b4ab55f82ca",
+    "neg-sigma": "6fd2cb96568e4ce82b21479f0d2af0f2b07199c3e5e7aa3e39e9d19d5aef192e",
+}
+
+
+class TestDerivedElements:
+    @pytest.mark.parametrize("name", sorted(_derived_cases()))
+    def test_bytes(self, name):
+        op, *args = _derived_cases()[name]
+        out, ledger = limit_arith(op, *args)
+        text = json.dumps(
+            {
+                "exact": out.exact,
+                "element": out.to_json(levels=6),
+                "ledger": ledger.to_json(delivered=6),
+            },
+            sort_keys=True,
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == DERIVED_DIGESTS[name]
+
+    @pytest.mark.parametrize("op", ["add", "mul", "neg"])
+    def test_long_chain_materializes(self, op):
+        # a level of the last link materializes through every link below
+        # it, two frames each: 400 links must fit the default recursion limit
+        s = sigma_embed(E5.generator(), RF5)
+        e = s
+        for _ in range(400):
+            e, _ = limit_arith(op, e) if op == "neg" else limit_arith(op, e, s)
+        assert not e.at(3).is_zero()
+
+
 class TestEquality:
     def test_same_rational(self):
         a = from_field(Q5, Fraction(1, 3))
@@ -206,7 +287,6 @@ class TestApproximation:
 
     def test_opaque_zero_raises(self):
         e = from_cosets(Q5, lambda g: coset_of(Q5, 0, g))
-        e.zero_probe_bound = 8
         with pytest.raises(PrecisionError):
             to_approximation(e, 4)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul as _mul
 
 from .oag import INF
 
@@ -97,6 +98,20 @@ def int_valuation(n, p):
     return v
 
 
+def _exact_int(c, what):
+    """The integer given as an int or a decimal string.  A parser must not
+    truncate a float or read a bool as a number, so both are errors."""
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise ValueError(f"{what} must be an integer, got {c!r}")
+    return int(c)
+
+
+def _int_coeffs(obj):
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError(f"coefficients must be a list of integers, got {obj!r}")
+    return [_exact_int(c, "coefficient") for c in obj]
+
+
 def padic_valuation(q, p):
     if not isinstance(q, (Fraction, int)):
         q = Fraction(q)
@@ -165,6 +180,14 @@ class FpPoly:
             cs.pop()
         self.p = p
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _reduced(cls, p, coeffs):
+        """Wrap a tuple already reduced mod p and trimmed, without re-checking."""
+        poly = object.__new__(cls)
+        poly.p = p
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def constant(cls, p, c):
@@ -291,6 +314,47 @@ class FpPoly:
         return " + ".join(terms)
 
 
+def _poly_rem(a, b, p):
+    """Remainder of a by b over GF(p), both as reduced, trimmed tuples (b nonzero).
+
+    Only the leading coefficient is reduced inside the loop; the
+    remainder is reduced and trimmed once at the end.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return a
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % p
+        if c:
+            f = c * inv % p
+            off = i - db
+            for j in range(db):
+                a[off + j] -= f * b[j]
+    r = [c % p for c in a[:db]]
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
+
+
+def _poly_exact_div(a, b, p):
+    """Quotient of a by a divisor b over GF(p), as a reduced, trimmed tuple."""
+    db = len(b) - 1
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % p
+        if c:
+            f = c * inv % p
+            q[i - db] = f
+            off = i - db
+            for j in range(db):
+                a[off + j] -= f * b[j]
+    return tuple(q)
+
+
 class RatFunc:
     """Reduced ratio of GF(p)[t] polynomials with a monic denominator."""
 
@@ -303,15 +367,21 @@ class RatFunc:
             raise ValueError("mixed characteristics")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = FpPoly.gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        inv = pow(den.coeffs[-1], -1, den.p)
+        p, n, d = den.p, num.coeffs, den.coeffs
+        if not n:
+            d = (1,)
+        elif len(n) > 1 and len(d) > 1:
+            g, r = d, _poly_rem(n, d, p)
+            while r:
+                g, r = r, _poly_rem(g, r, p)
+            if len(g) > 1:
+                n, d = _poly_exact_div(n, g, p), _poly_exact_div(d, g, p)
+        inv = pow(d[-1], -1, p)
         if inv != 1:
-            scale = FpPoly.constant(den.p, inv)
-            num, den = num * scale, den * scale
-        self.num = num
-        self.den = den
+            n = tuple(c * inv % p for c in n)
+            d = tuple(c * inv % p for c in d)
+        self.num = FpPoly._reduced(p, n)
+        self.den = FpPoly._reduced(p, d)
 
     @property
     def p(self):
@@ -490,12 +560,15 @@ class PadicRationals(ValuedField):
         raise ValueError(f"not a rational element: {x!r}")
 
     def element(self, obj):
+        if isinstance(obj, bool):
+            raise ValueError(f"cannot parse rational element from {obj!r}")
         if isinstance(obj, (Fraction, int)):
             return Fraction(obj)
         if isinstance(obj, str):
             return Fraction(obj)
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return Fraction(int(obj[0]), int(obj[1]))
+            num, den = (_exact_int(c, "rational component") for c in obj)
+            return Fraction(num, den)
         raise ValueError(f"cannot parse rational element from {obj!r}")
 
     def zero(self):
@@ -574,14 +647,17 @@ class RationalFunctions(ValuedField):
         raise ValueError(f"not a function-field element: {x!r}")
 
     def element(self, obj):
-        if isinstance(obj, (RatFunc, int)):
+        if isinstance(obj, (RatFunc, int)) and not isinstance(obj, bool):
             return self.check(obj)
         if isinstance(obj, dict):
-            num = FpPoly(self.p, obj.get("num", ()))
-            den = FpPoly(self.p, obj.get("den", (1,)))
+            extra = set(obj) - {"num", "den"}
+            if extra:
+                raise ValueError(f"unknown function-field keys: {sorted(extra)!r}")
+            num = FpPoly(self.p, _int_coeffs(obj.get("num", ())))
+            den = FpPoly(self.p, _int_coeffs(obj.get("den", (1,))))
             return RatFunc(num, den)
         if isinstance(obj, (list, tuple)):
-            return RatFunc(FpPoly(self.p, obj))
+            return RatFunc(FpPoly(self.p, _int_coeffs(obj)))
         raise ValueError(f"cannot parse function-field element from {obj!r}")
 
     def poly(self, *coeffs):
@@ -603,12 +679,25 @@ class RationalFunctions(ValuedField):
         return self.check(x).t_order()
 
     def sub_valuation(self, x, y):
-        # t-order of x - y from the cross difference, with no gcd reduction
+        # normal forms are unique, so equal operands differ by zero; else
+        # the t-order of x - y is the lowest nonzero coefficient of the
+        # cross difference xn*yd - yn*xd, found without forming the product
         x, y = self.check(x), self.check(y)
-        diff = x.num * y.den - y.num * x.den
-        if diff.is_zero():
+        xn, xd = x.num.coeffs, x.den.coeffs
+        yn, yd = y.num.coeffs, y.den.coeffs
+        if xn == yn and xd == yd:
             return INF
-        return diff.order() - x.den.order() - y.den.order()
+        p = self.p
+        top = max(len(xn) + len(yd), len(yn) + len(xd)) - 1
+        # coefficient k of a*b is sum(a[k - j] * b[j]): with a reversed and
+        # zero-padded to length top, a[k - j] sits at index top - 1 - k + j
+        xr = (0,) * (top - len(xn)) + xn[::-1]
+        yr = (0,) * (top - len(yn)) + yn[::-1]
+        for k in range(top):
+            s = top - 1 - k
+            if (sum(map(_mul, xr[s:], yd)) - sum(map(_mul, yr[s:], xd))) % p:
+                return k - x.den.order() - y.den.order()
+        return INF
 
     def uniformizer_pow(self, k):
         t = FpPoly.t_power(self.p, abs(k))
@@ -685,7 +774,7 @@ class QuadraticExtension(ValuedField):
         raise ValueError(f"not a quadratic-extension element: {x!r}")
 
     def element(self, obj):
-        if isinstance(obj, (QuadElement, Fraction, int)):
+        if isinstance(obj, (QuadElement, Fraction, int)) and not isinstance(obj, bool):
             return self.check(obj)
         if isinstance(obj, dict):
             return QuadElement(self.p, Fraction(str(obj.get("a", 0))), Fraction(str(obj.get("b", 0))))
@@ -733,9 +822,14 @@ class QuadraticExtension(ValuedField):
         digit can hide, so the search window is finite and the result exact.
         """
         x = self.check(x)
+        a, b = x.a, x.b
+        return self._window_ints(a.numerator, a.denominator, b.numerator, b.denominator, n)
+
+    def _window_ints(self, an, ad, bn, bd, n):
+        """The core of `_window` on x = an/ad + (bn/bd) r, with nonzero
+        denominators; it reads only valuations and residues, so the
+        fractions need not be in lowest terms."""
         p = self.p
-        an, ad = x.a.numerator, x.a.denominator
-        bn, bd = x.b.numerator, x.b.denominator
         vad, vbd = int_valuation(ad, p), int_valuation(bd, p)
         vals = [int_valuation(num, p) - vden for num, vden in ((an, vad), (bn, vbd)) if num]
         if not vals:
@@ -765,6 +859,17 @@ class QuadraticExtension(ValuedField):
 
     def valuation(self, x):
         return self._window(x, 1)[0]
+
+    def sub_valuation(self, x, y):
+        # v(x - y) from the component cross differences, left unreduced
+        x, y = self.check(x), self.check(y)
+        xa, xb, ya, yb = x.a, x.b, y.a, y.b
+        if xa == ya and xb == yb:
+            return INF
+        ad, bd = xa.denominator * ya.denominator, xb.denominator * yb.denominator
+        an = xa.numerator * ya.denominator - ya.numerator * xa.denominator
+        bn = xb.numerator * yb.denominator - yb.numerator * xb.denominator
+        return self._window_ints(an, ad, bn, bd, 1)[0]
 
     def expand(self, x, n):
         if n < 1:

@@ -90,13 +90,17 @@ def coset_eq(a, b):
     """Whether two classes at the same level coincide.
 
     Zero is its own class; otherwise the representatives must agree up
-    to relative error beyond the level: v(x - y) > level + v(x).
+    to relative error beyond the level: v(x - y) > level + v(x).  A shared
+    representative, or a zero difference, settles it without v(x).
     """
     _same_world(a, b)
+    if a.rep is b.rep:
+        return True
     az, bz = a.is_zero(), b.is_zero()
     if az or bz:
         return az and bz
-    return a.field.sub_valuation(a.rep, b.rep) > a.level + a.value()
+    d = a.field.sub_valuation(a.rep, b.rep)
+    return d is INF or d > a.level + a.value()
 
 
 def coset_mul(a, b):

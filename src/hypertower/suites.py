@@ -233,8 +233,10 @@ def lee_suite(
     small = reduced_rationals(exhaustive_bound)
     vals_small = {q: padic_valuation(q, p) for q in small}
     vu1 = [padic_valuation(u - 1, p) if u != 1 else INF for u in small]
+    times_small = {a: [a * u for u in small] for a in small}
     for x in small:
         vx = vals_small[x]
+        xus = times_small[x]
         for y in small:
             if x == 0 and y == 0:
                 continue
@@ -242,8 +244,8 @@ def lee_suite(
             s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
             report.tick()
             both = x != 0 and y != 0
-            for u, vu in zip(small, vu1):
-                z1, z2 = x + y * u, x * u + y
+            for yu, xu, vu in zip(times_small[y], xus, vu1):
+                z1, z2 = x + yu, xu + y
                 if both:
                     # z1 - x = y(u-1), z1 - y = x(1 + y(u-1)/x), and the
                     # symmetric pair for z2: both defining 1-unit tests

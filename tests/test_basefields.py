@@ -178,6 +178,46 @@ class TestKernels:
             assert field.sub_valuation(x, x) is INF
             assert field.sub_valuation(field.zero(), field.zero()) is INF
 
+    @pytest.mark.parametrize(
+        "field",
+        [Q5, Q2, F5T, RationalFunctions(2), RationalFunctions(7), E5, QuadraticExtension(13)],
+        ids=lambda f: f"{f.kind}-{f.p}",
+    )
+    def test_sub_valuation_equal_operands_and_power_denominators(self, field):
+        rng = random.Random(43)
+        xs = _shifted_elements(field, rng, 40)
+        ys = _shifted_elements(field, rng, 40)
+        for x, y in zip(xs, ys):
+            # equal values held by distinct objects
+            twin = field.element(field.to_json(x))
+            assert twin is not x
+            assert field.sub_valuation(x, twin) is INF
+            assert field.sub_valuation(twin, x) is INF
+            # t-power or p-power denominators on both sides, and a
+            # difference whose low-order terms cancel
+            for k in range(1, 4):
+                a = field.mul(x, field.uniformizer_pow(-k))
+                b = field.mul(y, field.uniformizer_pow(-rng.randint(1, 4)))
+                near = field.add(a, field.mul(b, field.uniformizer_pow(rng.randint(1, 8))))
+                for u, w in ((a, b), (b, a), (a, near), (near, a), (b, near)):
+                    assert field.sub_valuation(u, w) == field.valuation(field.sub(u, w))
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_window_core_accepts_unreduced_fractions(self, p):
+        # sub_valuation feeds the core cross differences that share factors
+        # of p with their denominators; the window must not depend on that
+        field = QuadraticExtension(p)
+        rng = random.Random(59 + p)
+        for x in [field.zero()] + _shifted_elements(field, rng, 30):
+            a, b = x.a, x.b
+            want = field._window(x, 6)
+            for k in range(4):
+                c, e = p ** k * rng.randint(1, 9), p ** rng.randint(0, 3) * rng.randint(1, 9)
+                got = field._window_ints(
+                    a.numerator * c, a.denominator * c, b.numerator * e, b.denominator * e, 6
+                )
+                assert got == want
+
     @pytest.mark.parametrize("p", [5, 7, 13])
     def test_representative_matches_digit_resum(self, p):
         field = QuadraticExtension(p)
@@ -468,6 +508,63 @@ class TestPolyAlgebra:
                 assert divmod(a, b) == (from_sympy(sq, p), from_sympy(sr, p)), (a, b)
                 g = to_sympy(a).gcd(to_sympy(b))
                 assert FpPoly.gcd(a, b) == from_sympy(g, p).monic(), (a, b)
+
+
+def _draw_poly(rng, p, lo, hi):
+    return FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(lo, hi))])
+
+
+def _draw_ratfunc_parts(rng, p):
+    """A numerator and a nonzero denominator sharing a factor, often a
+    power of t, so that normalization has something to cancel."""
+    common = _draw_poly(rng, p, 1, 3)
+    if common.is_zero():
+        common = FpPoly.t_power(p, rng.randint(1, 3))
+    den = _draw_poly(rng, p, 1, 4)
+    if den.is_zero():
+        den = FpPoly.t_power(p, rng.randint(0, 2))
+    return _draw_poly(rng, p, 0, 5) * common, den * common
+
+
+class TestRatFunc:
+    """The coefficient-list normalization against independent routes."""
+
+    def test_normal_form(self):
+        rng = random.Random(47)
+        for p in (2, 3, 5, 7):
+            for _ in range(60):
+                num, den = _draw_ratfunc_parts(rng, p)
+                x = RatFunc(num, den)
+                assert x.den.coeffs[-1] == 1
+                assert FpPoly.gcd(x.num, x.den) == FpPoly.constant(p, 1)
+                # the same element: x.num / x.den == num / den
+                assert x.num * den == num * x.den
+                if num.is_zero():
+                    assert x.den == FpPoly.constant(p, 1)
+
+    def test_arith_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        rng = random.Random(53)
+
+        def to_sympy(f):
+            return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=f.p)
+
+        for p in (2, 3, 5, 7):
+            for _ in range(30):
+                (an, ad), (bn, bd) = _draw_ratfunc_parts(rng, p), _draw_ratfunc_parts(rng, p)
+                x, y = RatFunc(an, ad), RatFunc(bn, bd)
+                san, sad, sbn, sbd = map(to_sympy, (an, ad, bn, bd))
+                # each result r = rn / rd must satisfy rn * ad * bd == rd * (the
+                # cross-multiplied numerator of the operation)
+                for r, want in (
+                    (x + y, san * sbd + sbn * sad),
+                    (x - y, san * sbd - sbn * sad),
+                    (x * y, san * sbn),
+                ):
+                    assert to_sympy(r.num) * sad * sbd == to_sympy(r.den) * want, (x, y)
+                    assert r.den.coeffs[-1] == 1
+                    assert to_sympy(r.num).gcd(to_sympy(r.den)).degree() <= 0
 
 
 class TestJson:

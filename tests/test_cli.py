@@ -109,6 +109,53 @@ def test_malformed_element_exit_two(capsys):
     assert "malformed element" in err
 
 
+@pytest.mark.parametrize(
+    "field,text",
+    [
+        # a float component used to be truncated: [1.5, 2] read as 1/2
+        ("rational", "[1.5, 2]"),
+        ("rational", "[3, 2.9]"),
+        # a JSON bool used to read as the integer 1
+        ("rational", "true"),
+        ("rational", "[true, 2]"),
+        ("function", '{"num": [1], "den": [2.7]}'),
+        # a string used to be read digit by digit as the coefficients 1, 2, 3
+        ("function", '{"num": "123"}'),
+        ("function", '{"num": [true]}'),
+        ("function", "[1, 0.5]"),
+        ("function", "false"),
+        ("function", '{"num": [1], "dem": [2]}'),
+        ("quadratic", "true"),
+    ],
+)
+def test_malformed_element_inputs_exit_two(capsys, field, text):
+    code, out, err = invoke(
+        capsys, "coset", "--field", field, "--p", "5", "--gamma", "0", "--x", text
+    )
+    assert code == 2
+    assert out == ""
+    assert "malformed element" in err
+
+
+@pytest.mark.parametrize(
+    "field,text,rep",
+    [
+        ("rational", "[3, 2]", "3/2"),
+        ("rational", '["3", "-2"]', "-3/2"),
+        ("rational", "7", "7"),
+        ("function", '{"num": [1], "den": [2]}', {"num": [3], "den": [1]}),
+        ("function", '{"num": ["1", 2]}', {"num": [1, 2], "den": [1]}),
+        ("function", "[0, 6]", {"num": [0, 1], "den": [1]}),
+    ],
+)
+def test_integer_element_inputs_parse(capsys, field, text, rep):
+    code, out, _ = invoke(
+        capsys, "coset", "--field", field, "--p", "5", "--gamma", "0", "--x", text
+    )
+    assert code == 0
+    assert json.loads(out)["coset"]["rep"] == rep
+
+
 def test_unknown_suite_exit_two(capsys):
     code, _, err = invoke(capsys, "laws", "--suite", "bogus", "--seed", "1")
     assert code == 2

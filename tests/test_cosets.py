@@ -93,6 +93,62 @@ class TestCosetBasics:
             canonical_key(coset_of(RationalFunctions(5), 1, 1))
 
 
+def _counting(field_cls):
+    """A field whose valuation calls are counted."""
+
+    class Counting(field_cls):
+        calls = 0
+
+        def valuation(self, x):
+            type(self).calls += 1
+            return super().valuation(x)
+
+    return Counting(5)
+
+
+class TestCosetEqShortCuts:
+    """A shared representative and a zero difference decide coset_eq
+    without the valuation of the representative."""
+
+    def test_shared_rep_still_checks_level(self):
+        x = Fraction(7, 3)
+        with pytest.raises(ValueError, match="level mismatch"):
+            coset_eq(coset_of(Q5, x, 1), coset_of(Q5, x, 2))
+
+    def test_shared_rep_still_checks_field(self):
+        x = Fraction(7, 3)
+        with pytest.raises(ValueError, match="different fields"):
+            coset_eq(coset_of(Q5, x, 1), coset_of(PadicRationals(7), x, 1))
+
+    @pytest.mark.parametrize("x", [Fraction(7, 3), Fraction(0)])
+    def test_shared_rep_is_equal(self, x):
+        a, b = coset_of(Q5, x, 3), coset_of(Q5, x, 3)
+        assert a.rep is b.rep
+        assert coset_eq(a, b) and coset_eq(b, a)
+
+    @pytest.mark.parametrize(
+        "field_cls,text",
+        [
+            (PadicRationals, "7/50"),
+            (RationalFunctions, {"num": [0, 2, 1], "den": [0, 0, 3, 1]}),
+            (QuadraticExtension, {"a": "2/25", "b": "-3/5"}),
+        ],
+        ids=["rational", "function", "quadratic"],
+    )
+    def test_zero_difference_skips_value(self, field_cls, text):
+        field = _counting(field_cls)
+        a = coset_of(field, field.element(text), 4)
+        b = coset_of(field, field.element(text), 4)
+        assert a.rep is not b.rep
+        before = field.calls
+        assert coset_eq(a, b)
+        assert field.calls == before
+        # the counter does see a nonzero difference read v(x)
+        c = coset_of(field, field.add(b.rep, field.uniformizer_pow(9)), 4)
+        coset_eq(a, c)
+        assert field.calls == before + 1
+
+
 class TestHyperSum:
     def test_unit_plus_unit(self):
         s = hyperadd(C(1, 1), C(1, 1))

@@ -135,13 +135,16 @@ def cmd_embed(args):
     base = PadicRationals(args.p)
     x = _parse_element(ext, args.x) if args.x else ext.generator()
     element = sigma_embed(x, hensel_finder(ext, base))
+    # the shallow classes first, so each comes from the finder rather than
+    # from projecting the deep class that the approximation materializes
+    cosets = element.to_json(levels=min(args.digits, 4))["cosets"]
     appr = to_approximation(element, args.digits)
     _emit(
         {
             "config": _config(args, ext=args.ext, x=args.x),
             "element": ext.to_json(x),
             "approximation": appr.to_json(),
-            "cosets": element.to_json(levels=min(args.digits, 4))["cosets"],
+            "cosets": cosets,
         }
     )
     return 0

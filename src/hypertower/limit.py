@@ -1,14 +1,16 @@
 """Elements of the completion as compatible families of level classes.
 
 A coherent element materializes one class per level, lazily and
-memoized; adjacent levels must agree under level-lowering and all
-nonzero classes must share one valuation.  Arithmetic works level-wise
-on representatives.  Multiplication, negation and inversion lose no
-precision; addition can cancel, and the exact compensation rule is that
-a result correct at level g needs the inputs at level
-g + (v(sum) - min(v(a), v(b))).  A precision ledger records every such
-loss.  Equality of coherent elements is only semi-decidable: agreement
-up to a level is evidence, a disagreement at some level is a proof.
+memoized; a level below its deepest generated class is that class
+projected down, every generated class must agree with the deepest one
+under level-lowering, and all nonzero classes must share one valuation.
+Arithmetic works level-wise on representatives.  Multiplication,
+negation and inversion lose no precision; addition can cancel, and the
+exact compensation rule is that a result correct at level g needs the
+inputs at level g + (v(sum) - min(v(a), v(b))).  A precision ledger
+records every such loss.  Equality of coherent elements is only
+semi-decidable: agreement up to a level is evidence, a disagreement at
+some level is a proof.
 """
 
 from __future__ import annotations
@@ -160,13 +162,17 @@ class CoherentElement:
         self.ledger = ledger or PrecisionLedger()
         self.provenance = provenance or {"kind": "opaque"}
         self._memo = {}
+        self._deepest = None
         self._lock = threading.Lock()
 
     def at(self, level):
         """The class at a level; materializes once, then is frozen.
 
-        Each new class is checked against the nearest already-known
-        levels on both sides and against the recorded valuation, so a
+        The element keeps its deepest generator-produced class.  A level
+        below it is answered by projecting that class down, with no
+        generator call.  A level above it asks the generator, and the new
+        class is checked for its field and level, against the recorded
+        valuation and against the deepest class under ``project``, so a
         misbehaving generator is surfaced with the offending level.
         """
         level = int(level)
@@ -179,13 +185,19 @@ class CoherentElement:
             got = self._memo.get(level)
             if got is not None:
                 return got
-            c = self._generator(level)
-            if not isinstance(c, GammaCoset) or c.field != self.field:
-                raise CoherenceError(level, "generator returned a foreign class")
-            if c.level != level:
-                raise CoherenceError(level, f"generator returned level {c.level}")
-            self._check_value(level, c)
-            self._check_neighbors(level, c)
+            deep = self._deepest
+            if deep is not None and level < deep.level:
+                c = project(deep, level)
+            else:
+                c = self._generator(level)
+                if not isinstance(c, GammaCoset) or c.field != self.field:
+                    raise CoherenceError(level, "generator returned a foreign class")
+                if c.level != level:
+                    raise CoherenceError(level, f"generator returned level {c.level}")
+                self._check_value(level, c)
+                if deep is not None and not coset_eq(project(c, deep.level), deep):
+                    raise CoherenceError(level, f"disagrees with stored level {deep.level}")
+                self._deepest = c
             self._memo[level] = c
             return c
 
@@ -200,18 +212,6 @@ class CoherentElement:
                 level,
                 f"value {c.value()} contradicts recorded value {self._valuation}",
             )
-
-    def _check_neighbors(self, level, c):
-        below = [l for l in self._memo if l < level]
-        if below:
-            l0 = max(below)
-            if not coset_eq(project(c, l0), self._memo[l0]):
-                raise CoherenceError(level, f"disagrees with stored level {l0}")
-        above = [l for l in self._memo if l > level]
-        if above:
-            l1 = min(above)
-            if not coset_eq(project(self._memo[l1], level), c):
-                raise CoherenceError(level, f"stored level {l1} disagrees")
 
     def valuation(self):
         """The shared valuation of the element's classes.
@@ -427,17 +427,24 @@ def limit_arith(op, a, b=None):
 def limit_eq(a, b, n):
     """Compare two coherent elements through level n.
 
-    A disagreement pinpoints the first separating level with the two
-    representatives as witness; agreement up to n is explicitly not a
+    A class at level n fixes every class below it, so level n is compared
+    once.  On a mismatch the first separating level is read off the two
+    level-n representatives ra, rb: 0 when either is zero or their values
+    differ, otherwise v(ra - rb) - v.  The witness is the pair of
+    representatives at that level.  Agreement up to n is explicitly not a
     proof of equality, only of indistinguishability at that depth.
     """
     if a.field != b.field:
         raise ValueError("elements of different fields")
-    for level in range(n + 1):
-        ca, cb = a.at(level), b.at(level)
-        if not coset_eq(ca, cb):
-            return EqResult(False, level, (ca.rep, cb.rep))
-    return EqResult(True, n)
+    ca, cb = a.at(n), b.at(n)
+    if coset_eq(ca, cb):
+        return EqResult(True, n)
+    if ca.is_zero() or cb.is_zero():
+        level = 0
+    else:
+        # differing values give v(ra - rb) <= v, so the clamp yields 0
+        level = max(0, a.field.sub_valuation(ca.rep, cb.rep) - ca.value())
+    return EqResult(False, level, (a.at(level).rep, b.at(level).rep))
 
 
 def to_approximation(e, n):
@@ -465,8 +472,8 @@ def sigma_embed(x, rf):
 
     The element's classes are those of rf(x, level) in the base field;
     the foreign valuation is recorded up front, and any representative
-    that breaks value constancy or cross-level agreement is surfaced as
-    a ``CoherenceError`` naming the level.
+    the finder produces that breaks value constancy or agreement with the
+    deepest class is surfaced as a ``CoherenceError`` naming the level.
     """
     w = rf.foreign.valuation(x)
     base = rf.base
@@ -556,10 +563,10 @@ def check_universal_property(field, samples, sides, candidates, n):
     """Factorization and uniqueness of the map into the family of levels.
 
     ``sides(x, level)`` is the given per-level class of a vertex element.
-    The mediating element is assembled directly from the sides; any
-    candidate map that agrees with every side up to level n must be
-    indistinguishable from the mediating element, and a candidate that
-    disagrees with some side is reported as failing to factor at all.
+    One mediating element per vertex is assembled directly from the
+    sides; any candidate map that agrees with every side up to level n
+    must be indistinguishable from it, and a candidate that disagrees
+    with some side is reported as failing to factor at all.
     """
     report = LawReport("universal-property")
 
@@ -581,8 +588,9 @@ def check_universal_property(field, samples, sides, candidates, n):
 
     for x in samples:
         report.tick()
+        mediating = mediate(x)
         try:
-            miss = first_miss(mediate(x), x)
+            miss = first_miss(mediating, x)
         except CoherenceError as exc:
             report.fail(law_part="cone-coherence", element=repr(x), level=exc.level)
             continue
@@ -602,7 +610,7 @@ def check_universal_property(field, samples, sides, candidates, n):
                     level=miss,
                 )
                 continue
-            verdict = limit_eq(e, mediate(x), n)
+            verdict = limit_eq(e, mediating, n)
             if not verdict.equal:
                 report.fail(
                     law_part="uniqueness",

@@ -16,6 +16,7 @@ from hypertower.cosets import coset_eq, coset_of
 from hypertower.tower import project
 from hypertower.limit import (
     CoherenceError,
+    EqResult,
     PrecisionError,
     RepresentativeFinder,
     check_singlevalued,
@@ -276,6 +277,171 @@ class TestEquality:
             limit_eq(from_field(Q5, 1), from_field(PadicRationals(3), 1), 4)
 
 
+def _walk_eq(a, b, n):
+    """The level walk that limit_eq replaced, kept as its reference."""
+    for level in range(n + 1):
+        ca, cb = a.at(level), b.at(level)
+        if not coset_eq(ca, cb):
+            return EqResult(False, level, (ca.rep, cb.rep))
+    return EqResult(True, n)
+
+
+EQ_DEPTH = 12
+
+
+def _eq_cases():
+    """Label -> maker of a fresh (a, b) pair, over seeded inputs.
+
+    Each side is built anew per call, so the walk and limit_eq each see
+    elements nothing has queried yet.
+    """
+    cases = {}
+    for field in (Q5, PadicRationals(13), F5T):
+        rng = random.Random(f"eq:{field.descriptor()}")
+        for i in range(2):
+            # valuations away from 0, so a level is not read as a valuation
+            x = field.mul(field.random_nonzero(rng, 40), field.uniformizer_pow(3 * i - 1))
+            y = field.random_nonzero(rng, 40)
+            v = field.valuation(x)
+            u = field.unit_digit(rng.randrange(8))
+            key = f"{field.descriptor()}:{i}"
+
+            def bump(k, _x=x, _v=v, _u=u, _f=field):
+                return _f.add(_x, _f.mul(_u, _f.uniformizer_pow(_v + k)))
+
+            cases[f"{key}:same"] = lambda _f=field, _x=x: (
+                from_field(_f, _x), from_field(_f, _f.element(_f.to_json(_x)))
+            )
+            for k in range(EQ_DEPTH + 2):
+                cases[f"{key}:bump{k}"] = lambda _f=field, _x=x, _k=k, _b=bump: (
+                    from_field(_f, _x), from_field(_f, _b(_k))
+                )
+            cases[f"{key}:other-value"] = lambda _f=field, _x=x: (
+                from_field(_f, _x), from_field(_f, _f.mul(_x, _f.uniformizer_pow(1)))
+            )
+            cases[f"{key}:zero-vs-nonzero"] = lambda _f=field, _x=x: (
+                zero_element(_f), from_field(_f, _x)
+            )
+            cases[f"{key}:zero-vs-zero"] = lambda _f=field: (
+                zero_element(_f), limit_arith("add", from_field(_f, 1), from_field(_f, -1))[0]
+            )
+            # a cancelling sum against the bumped difference it equals
+            for k in (0, 3, EQ_DEPTH, EQ_DEPTH + 1):
+                cases[f"{key}:arith{k}"] = lambda _f=field, _x=x, _y=y, _k=k, _b=bump: (
+                    limit_arith(
+                        "add", from_field(_f, _f.add(_x, _y)), from_field(_f, _f.neg(_y))
+                    )[0],
+                    from_field(_f, _b(_k)),
+                )
+    for p in (5, 13):
+        base, ext = PadicRationals(p), QuadraticExtension(p)
+        rf = hensel_finder(ext, base)
+        rng = random.Random(f"eq-sigma:{p}")
+        for i in range(2):
+            x = ext.random_nonzero(rng, 20)
+            y = ext.random_nonzero(rng, 20)
+            key = f"sigma-{p}:{i}"
+            cases[f"{key}:mul"] = lambda _x=x, _y=y, _e=ext, _r=rf: (
+                sigma_embed(_e.mul(_x, _y), _r),
+                limit_arith("mul", sigma_embed(_x, _r), sigma_embed(_y, _r))[0],
+            )
+            cases[f"{key}:add"] = lambda _x=x, _y=y, _e=ext, _r=rf: (
+                sigma_embed(_e.add(_x, _y), _r),
+                limit_arith("add", sigma_embed(_x, _r), sigma_embed(_y, _r))[0],
+            )
+            # truncations of the embedded element separate level by level
+            for k in range(0, EQ_DEPTH + 2, 2):
+                cases[f"{key}:trunc{k}"] = lambda _x=x, _k=k, _b=base, _r=rf: (
+                    sigma_embed(_x, _r), from_field(_b, _r(_x, _k))
+                )
+            cases[f"{key}:zero"] = lambda _x=x, _b=base, _r=rf: (
+                sigma_embed(_x, _r), zero_element(_b)
+            )
+    return cases
+
+
+class TestEqAgainstWalk:
+    @pytest.mark.parametrize("name", sorted(_eq_cases()))
+    def test_matches_level_walk(self, name):
+        make = _eq_cases()[name]
+        ref = _walk_eq(*make(), EQ_DEPTH)
+        a, b = make()
+        got = limit_eq(a, b, EQ_DEPTH)
+        assert (got.equal, got.level) == (ref.equal, ref.level)
+        if not got.equal:
+            wa, wb = got.witness
+            assert not coset_eq(coset_of(a.field, wa, got.level), coset_of(a.field, wb, got.level))
+        else:
+            assert got.witness is None
+
+    def test_cases_cover_every_level(self):
+        cases = _eq_cases()
+        levels = set()
+        for name in cases:
+            r = _walk_eq(*cases[name](), EQ_DEPTH)
+            levels.add(r.level if not r.equal else "equal")
+        assert levels >= set(range(EQ_DEPTH + 1)) | {"equal"}
+
+
+class TestDeepestFirst:
+    @staticmethod
+    def _counting(rep=Fraction(7, 3)):
+        calls = []
+
+        def gen(level):
+            calls.append(level)
+            return coset_of(Q5, rep, level)
+
+        return from_cosets(Q5, gen), calls
+
+    def test_deep_query_answers_the_levels_below(self):
+        e, calls = self._counting()
+        deep = e.at(32)
+        for g in range(32):
+            assert e.at(g).rep is deep.rep
+        assert calls == [32]
+
+    def test_repeated_query_returns_the_same_object(self):
+        e, calls = self._counting()
+        e.at(9)
+        low = e.at(4)
+        assert e.at(4) is low
+        high = e.at(20)
+        assert e.at(20) is high and e.at(4) is low
+        assert calls == [9, 20]
+
+    def test_first_class_checked_against_recorded_value(self):
+        e = from_cosets(Q5, lambda g: coset_of(Q5, 5, g), known_valuation=0)
+        with pytest.raises(CoherenceError):
+            e.at(6)
+        z = from_cosets(Q5, lambda g: coset_of(Q5, 1, g), known_valuation=INF)
+        with pytest.raises(CoherenceError):
+            z.at(6)
+
+    def test_drift_between_queried_levels_raises(self):
+        e = from_cosets(Q5, lambda g: coset_of(Q5, Fraction(1 + 5 * g), g))
+        e.at(3)
+        with pytest.raises(CoherenceError) as exc:
+            e.at(9)
+        assert exc.value.level == 9
+
+    def test_threads_on_shuffled_levels_agree(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        e = sigma_embed(E5.generator(), RF5)
+
+        def query(seed):
+            levels = list(range(24))
+            random.Random(seed).shuffle(levels)
+            return {g: e.at(g) for g in levels}
+
+        with ThreadPoolExecutor(8) as pool:
+            seen = list(pool.map(query, range(8)))
+        for g in range(24):
+            assert len({id(s[g]) for s in seen}) == 1
+            assert seen[0][g] is e.at(g)
+
+
 class TestApproximation:
     def test_matches_oracle_on_samples(self):
         rng = random.Random(22)
@@ -367,6 +533,20 @@ class TestInvariants:
         e = sigma_embed(E5.element({"a": 2, "b": 3}), RF5)
         for g in range(10):
             assert coset_eq(project(e.at(g + 1), g), e.at(g))
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_hensel_finder_coheres_upward(self, p):
+        # the finder's own classes, one per level, not the element's memo
+        # (which answers lower levels by projection)
+        base, ext = PadicRationals(p), QuadraticExtension(p)
+        rf = hensel_finder(ext, base)
+        rng = random.Random(f"hensel:{p}")
+        xs = [ext.generator()] + [ext.random_nonzero(rng, 20) for _ in range(6)]
+        for x in xs:
+            at = [coset_of(base, rf(x, g), g) for g in range(41)]
+            for g in range(40):
+                assert coset_eq(project(at[g + 1], g), at[g])
+                assert at[g].value() == ext.valuation(x)
 
     def test_density_representatives_live_downstairs(self):
         # every stored representative is a plain base-field element

@@ -325,7 +325,7 @@ def _eq_cases():
             cases[f"{key}:zero-vs-zero"] = lambda _f=field: (
                 zero_element(_f), limit_arith("add", from_field(_f, 1), from_field(_f, -1))[0]
             )
-            # a cancelling sum against the bumped difference it equals
+            # the sum (x + y) + (-y), which cancels y, against x bumped at level k
             for k in (0, 3, EQ_DEPTH, EQ_DEPTH + 1):
                 cases[f"{key}:arith{k}"] = lambda _f=field, _x=x, _y=y, _k=k, _b=bump: (
                     limit_arith(

@@ -78,12 +78,13 @@ def definitional_member(field, z, x, y, gamma):
     roles of x and y swapped; the witness quotient is solved for exactly,
     so no enumeration bound is involved.
     """
+    one = field.one()
     if not field.is_zero(y):
-        u = field.add(field.mul(field.sub(z, x), field.inv(y)), field.neg(field.one()))
+        u = field.sub(field.mul(field.sub(z, x), field.inv(y)), one)
         if field.valuation(u) > gamma:
             return True
     if not field.is_zero(x):
-        u = field.add(field.mul(field.sub(z, y), field.inv(x)), field.neg(field.one()))
+        u = field.sub(field.mul(field.sub(z, y), field.inv(x)), one)
         if field.valuation(u) > gamma:
             return True
     return False
@@ -137,34 +138,41 @@ def _descriptor_checks(field, report, x, y, gamma, vx, vy):
             report.fail(kind="degenerate-descriptor", x=str(x), y=str(y), gamma=gamma)
         return s
     expected_radius = gamma + min(vx, vy)
-    vsum = field.valuation(field.add(x, y))
+    total = field.add(x, y)
     ok = (
         s.singleton is None
         and s.radius == expected_radius
-        and field.is_zero(field.sub(s.center.rep, field.add(x, y)))
-        and s.contains_zero == (vsum > expected_radius)
+        and field.is_zero(field.sub(s.center.rep, total))
+        and s.contains_zero == (field.valuation(total) > expected_radius)
     )
     if not ok:
         report.fail(kind="descriptor", x=str(x), y=str(y), gamma=gamma)
     return s
 
 
-def _spot_candidates(field, x, y, gamma):
-    """Candidates z = x + y*u (and symmetric) for u probing the level boundary."""
-    p = field.p
+def _spot_units(p, gamma):
+    """Units u probing the level boundary: 1, 1 +- p^j for j around the
+    level, and 1/(1 + p)."""
     us = [Fraction(1)]
     for j in (gamma + 1, gamma, gamma - 1, 0):
         us.append(1 + Fraction(p) ** j)
         us.append(1 - Fraction(p) ** j)
     us.append(Fraction(1, 1 + p))
+    return us
+
+
+def _spot_candidates(field, x, y, units):
+    """Candidates z = x + y*u (and symmetric) for the given units u."""
     out = []
-    for u in us:
+    for u in units:
         out.append(field.add(x, field.mul(y, u)))
         out.append(field.add(field.mul(x, u), y))
     return out
 
 
-def _pair_check(field, report, x, y, gamma, vx, vy, hist, materialize):
+def _pair_check(field, report, x, y, gamma, vx, vy, hist, units):
+    """One sampled pair: descriptor facts, the threshold sweep, and, when
+    spot ``units`` are given, their candidates through both routes."""
     report.tick()
     s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
     xz, yz = field.is_zero(x), field.is_zero(y)
@@ -187,9 +195,9 @@ def _pair_check(field, report, x, y, gamma, vx, vy, hist, materialize):
                 gamma=gamma,
                 mismatches=bad,
             )
-    if not materialize:
+    if units is None:
         return
-    for z in _spot_candidates(field, x, y, gamma):
+    for z in _spot_candidates(field, x, y, units):
         want = definitional_member(field, z, x, y, gamma)
         got = hypersum_contains(s, coset_of(field, z, gamma))
         if want != got:
@@ -209,6 +217,36 @@ def _pair_check(field, report, x, y, gamma, vx, vy, hist, materialize):
             report.fail(kind="zero-flag", x=str(x), y=str(y), gamma=gamma)
 
 
+def _exhaustive_pair(field, report, x, y, gamma, vx, vy, z1s, z2s, vu1):
+    """One ordered pair of the exhaustive tier.
+
+    ``z1s`` holds x + y*u and ``z2s`` holds y + x*u over the universe of
+    u, whose v(u - 1) is ``vu1``.  Each defining 1-unit test reduces to a
+    threshold on v(u - 1): z1 - x = y(u-1) and z1 - y = x(1 + y(u-1)/x)
+    give v(u-1) > gamma + min(0, vx - vy), and symmetrically for z2.  A
+    zero operand leaves only the first test, and the class of the other
+    operand always belongs.  ``vu = INF`` (u = 1) passes every threshold.
+    """
+    s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
+    report.tick()
+    if x == 0:
+        wants = [vu > gamma for vu in vu1] + [True] * len(vu1)
+    elif y == 0:
+        wants = [True] * len(vu1) + [vu > gamma for vu in vu1]
+    else:
+        t1, t2 = gamma + min(0, vx - vy), gamma + min(0, vy - vx)
+        wants = [vu > t1 for vu in vu1] + [vu > t2 for vu in vu1]
+    for z, want in zip(z1s + z2s, wants):
+        if hypersum_contains(s, coset_of(field, z, gamma)) != want:
+            report.fail(
+                kind="exhaustive-membership",
+                x=str(x),
+                y=str(y),
+                z=str(z),
+                gamma=gamma,
+            )
+
+
 def lee_suite(
     p,
     gamma,
@@ -223,9 +261,10 @@ def lee_suite(
 
     Tier one is exhaustive: every pair from the small universe, every
     candidate from the same universe, materialized through both routes.
-    Tier two draws pairs from the stated larger universe, sweeps the
-    full candidate set through the threshold layer, and materializes a
-    stratified spot set; ``full=True`` upgrades tier two to all pairs.
+    The pairs (x, y) and (y, x) share their candidate sums, each built
+    once.  Tier two draws pairs from the stated larger universe, sweeps
+    the full candidate set through the threshold layer, and materializes
+    a stratified spot set; ``full=True`` upgrades tier two to all pairs.
     """
     field = PadicRationals(p)
     report = LawReport(f"lee-two-route[p={p},gamma={gamma}]")
@@ -234,45 +273,24 @@ def lee_suite(
     vals_small = {q: padic_valuation(q, p) for q in small}
     vu1 = [padic_valuation(u - 1, p) if u != 1 else INF for u in small]
     times_small = {a: [a * u for u in small] for a in small}
-    for x in small:
+    for i, x in enumerate(small):
         vx = vals_small[x]
-        xus = times_small[x]
-        for y in small:
+        for y in small[i:]:
             if x == 0 and y == 0:
                 continue
             vy = vals_small[y]
-            s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
-            report.tick()
-            both = x != 0 and y != 0
-            for yu, xu, vu in zip(times_small[y], xus, vu1):
-                z1, z2 = x + yu, xu + y
-                if both:
-                    # z1 - x = y(u-1), z1 - y = x(1 + y(u-1)/x), and the
-                    # symmetric pair for z2: both defining 1-unit tests
-                    # reduce to cached valuations (vu = INF short-circuits)
-                    cand = (
-                        (z1, vu > gamma or vy + vu - vx > gamma),
-                        (z2, vu > gamma or vx + vu - vy > gamma),
-                    )
-                else:
-                    cand = (
-                        (z1, definitional_member(field, z1, x, y, gamma)),
-                        (z2, definitional_member(field, z2, x, y, gamma)),
-                    )
-                for z, want in cand:
-                    got = hypersum_contains(s, coset_of(field, z, gamma))
-                    if want != got:
-                        report.fail(
-                            kind="exhaustive-membership",
-                            x=str(x),
-                            y=str(y),
-                            z=str(z),
-                            gamma=gamma,
-                        )
+            xy = [x + yu for yu in times_small[y]]
+            if y == x:
+                _exhaustive_pair(field, report, x, x, gamma, vx, vx, xy, xy, vu1)
+                continue
+            yx = [y + xu for xu in times_small[x]]
+            _exhaustive_pair(field, report, x, y, gamma, vx, vy, xy, yx, vu1)
+            _exhaustive_pair(field, report, y, x, gamma, vy, vx, yx, xy, vu1)
 
     big = reduced_rationals(sample_bound)
     vals_big = {q: padic_valuation(q, p) for q in big}
     hist = _UnitHistogram(big, p)
+    units = _spot_units(p, gamma)
     if full:
         pairs = ((x, y) for x in big for y in big)
     else:
@@ -291,7 +309,7 @@ def lee_suite(
             vals_big.get(x),
             vals_big.get(y),
             hist,
-            materialize=(k % 8 == 0),
+            units if k % 8 == 0 else None,
         )
     return report
 
@@ -341,7 +359,14 @@ def _trop_members(s, rng, arity):
 # on a module attribute sees every call.
 
 
+# reduced_rationals(height) and its unit histogram hold about 1.2 * height^2
+# fractions whatever the sample count: 1000 already takes tens of seconds
+LEE_MAX_HEIGHT = 1000
+
+
 def _lee(rng, *, field, p, samples, height, digits):
+    if height > LEE_MAX_HEIGHT:
+        raise ValueError(f"suite 'lee' needs --height <= {LEE_MAX_HEIGHT}, got {height}")
     return [
         lee_suite(
             p,

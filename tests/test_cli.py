@@ -6,6 +6,7 @@ import pytest
 
 from hypertower import suites
 from hypertower.cli import run
+from hypertower.tower import LawReport
 
 
 def invoke(capsys, *argv):
@@ -244,6 +245,47 @@ def test_empty_report_fails(capsys):
     doc = json.loads(out)
     assert doc["pass"] is False
     assert all(r["samples"] == 0 and r["pass"] is False for r in doc["reports"])
+
+
+def test_lee_height_limit_exit_two(capsys):
+    # the universes grow with the square of the height, whatever --samples is
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "laws", "--suite", "lee", "--seed", "1", "--samples", "1", "--height", "100000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "'lee'" in err and "--height <= 1000" in err
+
+
+def test_lee_height_limit_inclusive(capsys, monkeypatch):
+    bounds = []
+
+    def stub(p, gamma, rng, *, exhaustive_bound, sample_bound, sample_pairs):
+        bounds.append(sample_bound)
+        report = LawReport("stub")
+        report.tick()
+        return report
+
+    monkeypatch.setattr(suites, "lee_suite", stub)
+    top = suites.LEE_MAX_HEIGHT
+    code, _, _ = invoke(capsys, "laws", "--suite", "lee", "--height", str(top))
+    assert code == 0 and bounds == [top] * 3
+    code, _, _ = invoke(capsys, "laws", "--suite", "lee", "--height", str(top + 1))
+    assert code == 2 and bounds == [top] * 3
+
+
+# sha256 of `laws --suite lee --seed 1` at the default --height and --samples,
+# recorded before the height limit and the shared-sum exhaustive tier
+LEE_DEFAULT_DIGEST = "4c6c040083ceb37d1db6b31fa228dfbef1d0a59f0e6ee37af97d97e3d863a603"
+
+
+def test_lee_default_height_bytes(capsys):
+    code, out, _ = invoke(capsys, "laws", "--suite", "lee", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == LEE_DEFAULT_DIGEST
 
 
 @pytest.mark.parametrize(

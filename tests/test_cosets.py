@@ -1,10 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hypertower import suites
 from hypertower.oag import INF, TropSet
-from hypertower.basefields import PadicRationals, QuadraticExtension, RationalFunctions
+from hypertower.basefields import (
+    PadicRationals,
+    QuadraticExtension,
+    RationalFunctions,
+    make_field,
+    padic_valuation,
+)
 from hypertower.cosets import (
     canonical_key,
     coset_eq,
@@ -20,7 +28,8 @@ from hypertower.cosets import (
     iterated_contains,
     member_candidates,
 )
-from hypertower.sampling import sample_hypersum, sample_member, sample_nonmember
+from hypertower.sampling import sample_element, sample_hypersum, sample_member, sample_nonmember
+from hypertower.tower import LawReport
 from hypertower.suites import definitional_member, lee_suite, reduced_rationals
 
 Q5 = PadicRationals(5)
@@ -371,3 +380,237 @@ class TestTwoRouteSuite:
         rng = random.Random(0)
         rep = lee_suite(5, 1, rng, exhaustive_bound=4, sample_bound=12, sample_pairs=300)
         assert rep.passed, rep.failures[:3]
+
+
+# -- the lee suite's exhaustive tier against its row-major form -------------
+
+
+def _row_major_exhaustive(p, gamma, bound):
+    """The exhaustive tier as one row-major loop over ordered pairs: every
+    candidate sum built per pair, and zero-operand wants taken from
+    ``definitional_member``.  The reference for the shared-sum tier."""
+    field = PadicRationals(p)
+    report = LawReport(f"lee-two-route[p={p},gamma={gamma}]")
+    small = reduced_rationals(bound)
+    vals = {q: padic_valuation(q, p) for q in small}
+    vu1 = [padic_valuation(u - 1, p) if u != 1 else INF for u in small]
+    times = {a: [a * u for u in small] for a in small}
+    for x in small:
+        vx = vals[x]
+        for y in small:
+            if x == 0 and y == 0:
+                continue
+            vy = vals[y]
+            s = suites._descriptor_checks(field, report, x, y, gamma, vx, vy)
+            report.tick()
+            both = x != 0 and y != 0
+            for yu, xu, vu in zip(times[y], times[x], vu1):
+                z1, z2 = x + yu, xu + y
+                if both:
+                    cand = (
+                        (z1, vu > gamma or vy + vu - vx > gamma),
+                        (z2, vu > gamma or vx + vu - vy > gamma),
+                    )
+                else:
+                    cand = (
+                        (z1, suites.definitional_member(field, z1, x, y, gamma)),
+                        (z2, suites.definitional_member(field, z2, x, y, gamma)),
+                    )
+                for z, want in cand:
+                    got = suites.hypersum_contains(s, coset_of(field, z, gamma))
+                    if want != got:
+                        report.fail(
+                            kind="exhaustive-membership",
+                            x=str(x),
+                            y=str(y),
+                            z=str(z),
+                            gamma=gamma,
+                        )
+    return report
+
+
+def _exhaustive_only(p, gamma, bound):
+    # no sampled pairs: the report is the exhaustive tier's alone
+    return lee_suite(p, gamma, random.Random(0), exhaustive_bound=bound, sample_bound=4, sample_pairs=0)
+
+
+def _track_pair(monkeypatch):
+    """Record the operands of the pair whose descriptor was checked last;
+    both tiers check a pair's descriptor before its candidates."""
+    pair = []
+    real = suites._descriptor_checks
+
+    def checks(field, report, x, y, gamma, vx, vy):
+        pair[:] = [x, y]
+        return real(field, report, x, y, gamma, vx, vy)
+
+    monkeypatch.setattr(suites, "_descriptor_checks", checks)
+    return pair
+
+
+class TestExhaustiveTier:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("gamma", [0, 1, 2])
+    def test_closed_form_wants_match_definition(self, monkeypatch, p, gamma):
+        # the descriptor route is replaced by the definition itself, so any
+        # closed-form want that disagrees with it is reported as a failure
+        pair = _track_pair(monkeypatch)
+        asked = []
+
+        def by_definition(s, c):
+            asked.append(1)
+            x, y = pair
+            return definitional_member(s.field, c.rep, x, y, c.level)
+
+        monkeypatch.setattr(suites, "hypersum_contains", by_definition)
+        rep = _exhaustive_only(p, gamma, 4)
+        n = len(reduced_rationals(4))
+        assert rep.samples == n * n - 1
+        assert len(asked) == 2 * n * (n * n - 1)
+        assert rep.failures == []
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_same_materialized_classes_as_row_major(self, monkeypatch, p):
+        pair = _track_pair(monkeypatch)
+        seen = Counter()
+        real = suites.hypersum_contains
+
+        def recording(s, c):
+            # integer pairs: a Fraction rehashes on every dict lookup
+            x, y = pair
+            seen[(x.as_integer_ratio(), y.as_integer_ratio(), c.rep.as_integer_ratio(), c.level)] += 1
+            return real(s, c)
+
+        monkeypatch.setattr(suites, "hypersum_contains", recording)
+        for gamma in (0, 2):
+            reference = _row_major_exhaustive(p, gamma, 4)
+            old = seen.copy()
+            seen.clear()
+            rep = _exhaustive_only(p, gamma, 4)
+            assert seen == old
+            seen.clear()
+            assert rep.to_json() == reference.to_json()
+            assert rep.passed
+
+    def test_same_report_under_a_mutant(self, monkeypatch):
+        # failures come out in another order; the report sorts them
+        monkeypatch.setattr(suites, "hypersum_contains", _ball_closed)
+        for gamma in (0, 1):
+            reference = _row_major_exhaustive(5, gamma, 4)
+            rep = _exhaustive_only(5, gamma, 4)
+            assert not reference.passed
+            assert rep.failures != reference.failures
+            assert rep.to_json() == reference.to_json()
+
+
+# -- negative controls: a broken descriptor route must fail the lee suite ---
+
+
+def _ball_closed(s, c):
+    """hypersum_contains with the open ball closed: v(z - center) >= radius."""
+    if s.singleton is None and not c.is_zero():
+        return s.field.sub_valuation(c.rep, s.center.rep) >= s.radius
+    return hypersum_contains(s, c)
+
+
+def _singleton_loose(s, c):
+    """hypersum_contains whose singleton branch accepts d >= level + v."""
+    if s.singleton is None:
+        return hypersum_contains(s, c)
+    a, b = c, s.singleton
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    d = a.field.sub_valuation(a.rep, b.rep)
+    return d is INF or d >= a.level + a.value()
+
+
+# failure counts by kind, recorded on the row-major exhaustive tier and
+# unchanged by the shared-sum one
+MUTANT_FAILURES = {
+    ("ball-closed", 0): {"exhaustive-membership": 16972, "membership": 166},
+    ("ball-closed", 1): {"exhaustive-membership": 3784, "membership": 151},
+    ("singleton-loose", 0): {"exhaustive-membership": 748},
+    ("singleton-loose", 1): {"exhaustive-membership": 176},
+}
+MUTANTS = {"ball-closed": _ball_closed, "singleton-loose": _singleton_loose}
+
+
+class TestLeeNegativeControls:
+    @pytest.mark.parametrize("mutant,gamma", list(MUTANT_FAILURES))
+    def test_mutant_fails_suite(self, monkeypatch, mutant, gamma):
+        monkeypatch.setattr(suites, "hypersum_contains", MUTANTS[mutant])
+        rep = lee_suite(5, gamma, random.Random(1), exhaustive_bound=4, sample_bound=20, sample_pairs=200)
+        assert not rep.passed
+        assert Counter(f["kind"] for f in rep.failures) == MUTANT_FAILURES[mutant, gamma]
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    def test_unmutated_suite_passes(self, gamma):
+        rep = lee_suite(5, gamma, random.Random(1), exhaustive_bound=4, sample_bound=20, sample_pairs=200)
+        assert rep.passed and rep.samples == 728
+
+
+# -- the rewritten helpers against their former shape -----------------------
+
+
+def _add_neg_member(field, z, x, y, gamma):
+    """definitional_member with the quotient's 1 taken off as add(..., neg(one()))."""
+    if not field.is_zero(y):
+        u = field.add(field.mul(field.sub(z, x), field.inv(y)), field.neg(field.one()))
+        if field.valuation(u) > gamma:
+            return True
+    if not field.is_zero(x):
+        u = field.add(field.mul(field.sub(z, y), field.inv(x)), field.neg(field.one()))
+        if field.valuation(u) > gamma:
+            return True
+    return False
+
+
+def _per_pair_spot_candidates(field, x, y, gamma):
+    """Spot candidates with their units built for the one pair."""
+    p = field.p
+    us = [Fraction(1)]
+    for j in (gamma + 1, gamma, gamma - 1, 0):
+        us.append(1 + Fraction(p) ** j)
+        us.append(1 - Fraction(p) ** j)
+    us.append(Fraction(1, 1 + p))
+    out = []
+    for u in us:
+        out.append(field.add(x, field.mul(y, u)))
+        out.append(field.add(field.mul(x, u), y))
+    return out
+
+
+class TestSuiteHelpers:
+    @pytest.mark.parametrize("kind", ["rational", "function", "quadratic"])
+    def test_definitional_member_matches_add_neg_form(self, kind):
+        field = make_field(kind, 5)
+        rng = random.Random(f"definitional:{kind}")
+        verdicts = Counter()
+        for k in range(240):
+            x = field.zero() if k % 8 == 0 else sample_element(field, rng, 20)
+            y = field.zero() if k % 8 == 1 else sample_element(field, rng, 20)
+            gamma = rng.randint(0, 3)
+            if k % 4 == 3:
+                z = sample_element(field, rng, 20)
+            else:
+                # z = a + b*u with u a 1-unit of random depth, either order
+                w = field.mul(field.uniformizer_pow(rng.randint(0, 5)), sample_element(field, rng, 20))
+                u = field.add(field.one(), w)
+                a, b = (x, y) if rng.random() < 0.5 else (y, x)
+                z = field.add(a, field.mul(b, u))
+            want = _add_neg_member(field, z, x, y, gamma)
+            assert definitional_member(field, z, x, y, gamma) == want
+            verdicts[want] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("gamma", [0, 1, 2])
+    def test_spot_candidates_match_per_pair_units(self, p, gamma):
+        field = PadicRationals(p)
+        units = suites._spot_units(p, gamma)
+        universe = reduced_rationals(3)
+        for x in universe:
+            for y in universe:
+                assert suites._spot_candidates(field, x, y, units) == _per_pair_spot_candidates(
+                    field, x, y, gamma
+                )

@@ -493,13 +493,12 @@ class TestExhaustiveTier:
             assert rep.passed
 
     def test_same_report_under_a_mutant(self, monkeypatch):
-        # failures come out in another order; the report sorts them
+        # the failures may come out in another order; the report sorts them
         monkeypatch.setattr(suites, "hypersum_contains", _ball_closed)
         for gamma in (0, 1):
             reference = _row_major_exhaustive(5, gamma, 4)
             rep = _exhaustive_only(5, gamma, 4)
             assert not reference.passed
-            assert rep.failures != reference.failures
             assert rep.to_json() == reference.to_json()
 
 

@@ -106,6 +106,14 @@ def _exact_int(c, what):
     return int(c)
 
 
+def _exact_rational(c, what):
+    """The rational given as an int, a Fraction or a string such as "1/2";
+    a float or a bool is an error, as in ``_exact_int``."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, str)):
+        raise ValueError(f"{what} must be an integer or a rational string, got {c!r}")
+    return Fraction(c)
+
+
 def _int_coeffs(obj):
     if not isinstance(obj, (list, tuple)):
         raise ValueError(f"coefficients must be a list of integers, got {obj!r}")
@@ -777,9 +785,13 @@ class QuadraticExtension(ValuedField):
         if isinstance(obj, (QuadElement, Fraction, int)) and not isinstance(obj, bool):
             return self.check(obj)
         if isinstance(obj, dict):
-            return QuadElement(self.p, Fraction(str(obj.get("a", 0))), Fraction(str(obj.get("b", 0))))
+            extra = set(obj) - {"a", "b"}
+            if extra:
+                raise ValueError(f"unknown quadratic keys: {sorted(extra)!r}")
+            obj = (obj.get("a", 0), obj.get("b", 0))
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return QuadElement(self.p, Fraction(str(obj[0])), Fraction(str(obj[1])))
+            a, b = (_exact_rational(c, "quadratic component") for c in obj)
+            return QuadElement(self.p, a, b)
         if isinstance(obj, str):
             return QuadElement(self.p, Fraction(obj), Fraction(0))
         raise ValueError(f"cannot parse quadratic element from {obj!r}")

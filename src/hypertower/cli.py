@@ -26,10 +26,22 @@ class UsageError(Exception):
     pass
 
 
+# a digit window costs more than linear time in its length: at the limit,
+# quadratic expand takes 0.11 s at p = 5 and embed 0.15 s at p = 13
+MAX_DIGITS = 10_000
+
+
 def _nonnegative(text):
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _digits(text):
+    n = int(text)
+    if n > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DIGITS}, got {n}")
     return n
 
 
@@ -206,7 +218,7 @@ def build_parser():
         if gamma:
             sp.add_argument("--gamma", type=int, required=True)
         if digits:
-            sp.add_argument("--digits", type=int, default=8)
+            sp.add_argument("--digits", type=_digits, default=8)
 
     sp = sub.add_parser("coset", help="class of an element at a level")
     common(sp, gamma=True)
@@ -235,7 +247,7 @@ def build_parser():
     sp.add_argument("--ext", default="quadratic")
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--x", default=None)
-    sp.add_argument("--digits", type=int, default=8)
+    sp.add_argument("--digits", type=_digits, default=8)
     sp.set_defaults(fn=cmd_embed)
 
     sp = sub.add_parser("limit-arith", help="level-wise arithmetic with a ledger")

@@ -10,7 +10,6 @@ exact; the suites count mismatches and report zero on a correct build.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from math import gcd
 
@@ -90,36 +89,6 @@ def definitional_member(field, z, x, y, gamma):
     return False
 
 
-class _UnitHistogram:
-    """Counts of v(u - 1) over a fixed universe of rationals u.
-
-    Lets the exhaustive-in-u layer answer "for how many u is
-    v(u-1) > t" in O(log n), which turns the full sweep over candidates
-    z = x + y*u into two threshold lookups per pair.
-    """
-
-    def __init__(self, universe, p):
-        vals = []
-        self.always = 0
-        for u in universe:
-            w = u - 1
-            if w == 0:
-                self.always += 1  # u = 1 satisfies every threshold
-            else:
-                vals.append(padic_valuation(w, p))
-        vals.sort()
-        self.vals = vals
-
-    def above(self, t):
-        return len(self.vals) - bisect.bisect_right(self.vals, t) + self.always
-
-    def mismatches(self, t1, t2):
-        """How many u satisfy exactly one of v(u-1) > t1, v(u-1) > t2."""
-        if t1 == t2:
-            return 0
-        return abs(self.above(t1) - self.above(t2))
-
-
 def _descriptor_checks(field, report, x, y, gamma, vx, vy):
     """Exact facts about one sum descriptor, checked against the module.
 
@@ -170,31 +139,18 @@ def _spot_candidates(field, x, y, units):
     return out
 
 
-def _pair_check(field, report, x, y, gamma, vx, vy, hist, units):
-    """One sampled pair: descriptor facts, the threshold sweep, and, when
-    spot ``units`` are given, their candidates through both routes."""
+def _pair_check(field, report, x, y, gamma, vx, vy, units):
+    """One sampled pair: descriptor facts and, when spot ``units`` are
+    given, their candidates through both routes.
+
+    The descriptor check decides the pair's whole candidate set: for
+    nonzero x and y, z = x + y*u (or y + x*u) belongs by definition when
+    v(u - 1) > gamma + min(0, vx - vy) (or vy - vx), and the descriptor
+    induces the same thresholds exactly when its radius is
+    gamma + min(vx, vy).
+    """
     report.tick()
     s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
-    xz, yz = field.is_zero(x), field.is_zero(y)
-    if hist is not None and not xz and not yz:
-        # exhaustive sweep over candidates z = x + y*u (and symmetric),
-        # comparing the definitional threshold on v(u-1) with the one the
-        # implementation's descriptor induces
-        radius = s.radius
-        t_def_1 = gamma + min(0, vx - vy)
-        t_impl_1 = radius - vy
-        bad = hist.mismatches(t_def_1, t_impl_1)
-        t_def_2 = gamma + min(0, vy - vx)
-        t_impl_2 = radius - vx
-        bad += hist.mismatches(t_def_2, t_impl_2)
-        if bad:
-            report.fail(
-                kind="threshold-sweep",
-                x=str(x),
-                y=str(y),
-                gamma=gamma,
-                mismatches=bad,
-            )
     if units is None:
         return
     for z in _spot_candidates(field, x, y, units):
@@ -210,7 +166,7 @@ def _pair_check(field, report, x, y, gamma, vx, vy, hist, units):
                 definitional=want,
                 descriptor=got,
             )
-    if not xz and not yz:
+    if not field.is_zero(x) and not field.is_zero(y):
         z = field.zero()
         want = definitional_member(field, z, x, y, gamma)
         if want != s.contains_zero:
@@ -262,9 +218,10 @@ def lee_suite(
     Tier one is exhaustive: every pair from the small universe, every
     candidate from the same universe, materialized through both routes.
     The pairs (x, y) and (y, x) share their candidate sums, each built
-    once.  Tier two draws pairs from the stated larger universe, sweeps
-    the full candidate set through the threshold layer, and materializes
-    a stratified spot set; ``full=True`` upgrades tier two to all pairs.
+    once.  Tier two draws pairs from the stated larger universe, checks
+    each pair's sum descriptor, which decides its full candidate set, and
+    materializes a stratified spot set; ``full=True`` upgrades tier two to
+    all pairs.
     """
     field = PadicRationals(p)
     report = LawReport(f"lee-two-route[p={p},gamma={gamma}]")
@@ -288,8 +245,6 @@ def lee_suite(
             _exhaustive_pair(field, report, y, x, gamma, vy, vx, yx, xy, vu1)
 
     big = reduced_rationals(sample_bound)
-    vals_big = {q: padic_valuation(q, p) for q in big}
-    hist = _UnitHistogram(big, p)
     units = _spot_units(p, gamma)
     if full:
         pairs = ((x, y) for x in big for y in big)
@@ -306,9 +261,8 @@ def lee_suite(
             x,
             y,
             gamma,
-            vals_big.get(x),
-            vals_big.get(y),
-            hist,
+            padic_valuation(x, p),
+            padic_valuation(y, p),
             units if k % 8 == 0 else None,
         )
     return report
@@ -359,8 +313,8 @@ def _trop_members(s, rng, arity):
 # on a module attribute sees every call.
 
 
-# reduced_rationals(height) and its unit histogram hold about 1.2 * height^2
-# fractions whatever the sample count: 1000 already takes tens of seconds
+# reduced_rationals(height) holds about 1.2 * height^2 fractions whatever
+# the sample count, built once per level: 1000 already takes about 10 s
 LEE_MAX_HEIGHT = 1000
 
 

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from hypertower import suites
-from hypertower.cli import run
+from hypertower.cli import MAX_DIGITS, run
 from hypertower.tower import LawReport
 
 
@@ -127,6 +127,13 @@ def test_malformed_element_exit_two(capsys):
         ("function", "false"),
         ("function", '{"num": [1], "dem": [2]}'),
         ("quadratic", "true"),
+        # an unknown key used to be ignored: {"a": 1, "B": 3} read as 1
+        ("quadratic", '{"a": 1, "B": 3}'),
+        # a float component used to be read through its decimal string
+        ("quadratic", "[0.1, 2]"),
+        ("quadratic", '{"a": 1.5}'),
+        ("quadratic", "[true, 2]"),
+        ("quadratic", '{"b": false}'),
     ],
 )
 def test_malformed_element_inputs_exit_two(capsys, field, text):
@@ -147,6 +154,9 @@ def test_malformed_element_inputs_exit_two(capsys, field, text):
         ("function", '{"num": [1], "den": [2]}', {"num": [3], "den": [1]}),
         ("function", '{"num": ["1", 2]}', {"num": [1, 2], "den": [1]}),
         ("function", "[0, 6]", {"num": [0, 1], "den": [1]}),
+        ("quadratic", '[1, "1/2"]', {"a": "1", "b": "1/2"}),
+        ("quadratic", '{"b": "-3/5"}', {"a": "0", "b": "-3/5"}),
+        ("quadratic", '"7/2"', {"a": "7/2", "b": "0"}),
     ],
 )
 def test_integer_element_inputs_parse(capsys, field, text, rep):
@@ -298,6 +308,33 @@ def test_large_prime_modulus(capsys, p, code):
     got, _, _ = invoke(capsys, "expand", "--p", str(p), "--x", "1")
     assert got == code
     assert time.perf_counter() - start < 1.0
+
+
+_DIGITS_COMMANDS = [
+    ("expand", "--field", "quadratic", "--x", "[1, 2]"),
+    ("embed",),
+    ("limit-arith", "--op", "inv", "--lhs", "[1, 2]", "--field", "quadratic"),
+    ("laws", "--suite", "oracle-roundtrip", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _DIGITS_COMMANDS)
+def test_digits_limit_exit_two(capsys, argv):
+    # a digit window's cost grows faster than its length
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, "--digits", str(MAX_DIGITS + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"--digits: must be <= {MAX_DIGITS}" in err
+
+
+@pytest.mark.parametrize("argv", _DIGITS_COMMANDS[:3])
+def test_digits_limit_inclusive(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, "--digits", str(MAX_DIGITS))
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc.get("approximation", doc)["digits"]) == MAX_DIGITS
 
 
 def test_quadratic_element_parse(capsys):

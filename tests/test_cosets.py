@@ -21,6 +21,7 @@ from hypertower.cosets import (
     coset_neg,
     coset_of,
     coset_value,
+    HyperSum,
     hyperadd,
     hypersum_contains,
     hypersum_same_set,
@@ -546,6 +547,76 @@ class TestLeeNegativeControls:
     def test_unmutated_suite_passes(self, gamma):
         rep = lee_suite(5, gamma, random.Random(1), exhaustive_bound=4, sample_bound=20, sample_pairs=200)
         assert rep.passed and rep.samples == 728
+
+
+# -- negative controls on the sum descriptor's radius -----------------------
+
+
+def _radius_mutant(radius):
+    """hyperadd with the radius gamma + min(vx, vy) replaced by
+    radius(gamma, vx, vy), and the zero flag following it."""
+
+    def mutant(a, b):
+        s = hyperadd(a, b)
+        if s.singleton is not None:
+            return s
+        r = radius(s.level, a.value(), b.value())
+        return HyperSum(s.field, s.level, s.center, r, s.center.value() > r)
+
+    return mutant
+
+
+RADIUS_MUTANTS = {
+    "plus-one": lambda g, vx, vy: g + min(vx, vy) + 1,
+    "minus-one": lambda g, vx, vy: g + min(vx, vy) - 1,
+    "max": lambda g, vx, vy: g + max(vx, vy),
+}
+
+# The 16 pairs the sampled tier draws from height 50 with random.Random(1),
+# and the subsets of them that the former threshold sweep flagged under
+# each radius mutant.  The sweep compared, over every u of the sampled
+# universe, v(u - 1) > gamma + min(0, vx - vy) with v(u - 1) > radius - vy
+# (and symmetrically); it was removed because those thresholds agree
+# exactly when the radius is gamma + min(vx, vy), which the descriptor
+# check asserts on the same pair.
+_DRAWN = (
+    "-1/18,31/48 -12/41,-4 -13/8,23/33 -20/7,-37/21 -23/9,21/38 -25/26,-22/29 "
+    "-3/2,-35/43 -39/4,-27/17 -39/43,-38/25 -45/32,-15/2 -7/47,-49/29 15/14,-1/7 "
+    "2/37,19 25/2,46 29/30,-41/31 46/15,49/39"
+)
+_DRAWN_P2_MAX = (
+    "-1/18,31/48 -13/8,23/33 -20/7,-37/21 -23/9,21/38 -25/26,-22/29 -3/2,-35/43 "
+    "-39/4,-27/17 -39/43,-38/25 -45/32,-15/2 15/14,-1/7 2/37,19 25/2,46 "
+    "29/30,-41/31 46/15,49/39"
+)
+_DRAWN_P5_DEEP = (
+    "-20/7,-37/21 -25/26,-22/29 -3/2,-35/43 -39/43,-38/25 15/14,-1/7 25/2,46 "
+    "29/30,-41/31 46/15,49/39"
+)
+SWEEP_FLAGGED = {
+    ("plus-one", 2, 0): _DRAWN,
+    ("plus-one", 2, 2): _DRAWN,
+    ("plus-one", 5, 0): _DRAWN,
+    ("plus-one", 5, 2): _DRAWN_P5_DEEP,
+    ("minus-one", 2, 0): _DRAWN,
+    ("minus-one", 2, 2): _DRAWN,
+    ("minus-one", 5, 0): _DRAWN,
+    ("minus-one", 5, 2): _DRAWN,
+    ("max", 2, 0): _DRAWN_P2_MAX,
+    ("max", 2, 2): _DRAWN_P2_MAX,
+    ("max", 5, 0): _DRAWN_P5_DEEP,
+    ("max", 5, 2): _DRAWN_P5_DEEP,
+}
+
+
+class TestRadiusMutants:
+    @pytest.mark.parametrize("mutant,p,gamma", list(SWEEP_FLAGGED))
+    def test_descriptor_fails_where_the_sweep_did(self, monkeypatch, mutant, p, gamma):
+        monkeypatch.setattr(suites, "hyperadd", _radius_mutant(RADIUS_MUTANTS[mutant]))
+        rep = lee_suite(p, gamma, random.Random(1), exhaustive_bound=2, sample_bound=50, sample_pairs=16)
+        assert not rep.passed
+        failed = {f"{f['x']},{f['y']}" for f in rep.failures if f["kind"] == "descriptor"}
+        assert set(SWEEP_FLAGGED[mutant, p, gamma].split()) <= failed
 
 
 # -- the rewritten helpers against their former shape -----------------------

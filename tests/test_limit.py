@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -668,3 +669,25 @@ class TestUniversal:
 
         rep = check_universal_property(Q5, [Fraction(1)], sides, [], 8)
         assert not rep.passed
+
+    def test_incoherent_sides_name_the_level(self):
+        # level 3 is the first side that leaves the classes below it
+        def sides(x, g):
+            return coset_of(Q5, x + 5 ** max(0, g - 2), g)
+
+        rep = check_universal_property(Q5, [Fraction(1)], sides, [], 8)
+        assert rep.failures == [{"element": repr(Fraction(1)), "law_part": "cone-coherence", "level": 3}]
+
+    def test_sides_called_once_per_element_and_level(self):
+        # the sigma cone of the universal suite at its default p = 5
+        calls = Counter()
+
+        def sides(x, g):
+            calls[x, g] += 1
+            return coset_of(Q5, RF5(x, g), g)
+
+        ys = [E5.generator(), E5.element([2, 3])]
+        rep = check_universal_property(Q5, ys, sides, [("sigma", lambda x: sigma_embed(x, RF5))], 12)
+        assert rep.passed
+        assert len(calls) == 2 * 13
+        assert set(calls.values()) == {1}

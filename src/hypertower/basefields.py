@@ -154,10 +154,6 @@ class Approximation:
         if any(d < 0 or d >= self.p for d in self.digits):
             raise ValueError("digits must lie in 0..p-1")
 
-    @property
-    def precision(self):
-        return len(self.digits)
-
     def is_zero(self):
         return all(d == 0 for d in self.digits)
 
@@ -533,10 +529,6 @@ class ValuedField:
 
     def descriptor(self):
         return {"kind": self.kind, "p": self.p}
-
-    def sub_valuation(self, x, y):
-        """v(x - y); the workhorse of every coset predicate."""
-        return self.valuation(self.sub(x, y))
 
     def random_nonzero(self, rng, height=50):
         while True:

@@ -26,8 +26,11 @@ class UsageError(Exception):
     pass
 
 
-# a digit window costs more than linear time in its length: at the limit,
-# quadratic expand takes 0.11 s at p = 5 and embed 0.15 s at p = 13
+# a digit window costs more than linear time in its length, and a digit
+# costs more as p grows: at most MAX_DIGITS digits, and at most as many bits
+# (digits times the bit length of p) as MAX_DIGITS digits at p = 13.  At
+# those limits quadratic expand, limit-arith inv and embed each take under
+# 0.3 s, at p = 13 and at p = 10^18 + 3 alike
 MAX_DIGITS = 10_000
 
 
@@ -43,6 +46,18 @@ def _digits(text):
     if n > MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"must be <= {MAX_DIGITS}, got {n}")
     return n
+
+
+def _check_window(args):
+    digits = getattr(args, "digits", None)
+    if digits is None:
+        return
+    budget = MAX_DIGITS * (13).bit_length()
+    if digits * args.p.bit_length() > budget:
+        raise UsageError(
+            f"--digits {digits} at --p {args.p} exceeds the window of {budget} bits "
+            f"(digits times the bit length of p)"
+        )
 
 
 def _emit(doc):
@@ -275,6 +290,7 @@ def run(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        _check_window(args)
         return args.fn(args)
     except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

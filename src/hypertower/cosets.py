@@ -231,15 +231,13 @@ class IteratedResult:
     verdict: str  # "member" | "non_member" | "unknown"
     chain: tuple = None
 
-    def is_member(self):
-        return self.verdict == "member"
 
-
-def member_candidates(s, depth=3, width=2):
+def member_candidates(s):
     """A finite, deduplicated spread of classes inside a sum descriptor.
 
     Every candidate is a genuine member (center, zero when admitted, and
-    perturbations of the center by elements just below the radius).
+    perturbations of the center by u * pi^(r + k) for the unit digits
+    u = 1, 2 and k = 1..3, just inside the radius r).
     """
     if s.singleton is not None:
         return [s.singleton]
@@ -247,8 +245,8 @@ def member_candidates(s, depth=3, width=2):
     out = [s.center]
     if s.contains_zero:
         out.append(GammaCoset(f, g, f.zero()))
-    for k in range(1, depth + 1):
-        for i in range(width):
+    for k in range(1, 4):
+        for i in range(2):
             w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(i))
             cand = GammaCoset(f, g, f.add(s.center.rep, w))
             if not any(coset_eq(cand, seen) for seen in out):

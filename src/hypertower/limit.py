@@ -239,8 +239,12 @@ class CoherentElement:
         return _value_or_inf(self) is INF
 
     def to_json(self, levels=4):
+        # a provenance element is rendered here, not when the element is
+        # built: a resummed digit window can hold integers past Python's
+        # 4,300-digit limit on int-to-str conversion
+        provenance = {k: v() if callable(v) else v for k, v in self.provenance.items()}
         return {
-            "provenance": self.provenance,
+            "provenance": provenance,
             "field": self.field.descriptor(),
             "cosets": [self.at(v).to_json() for v in range(levels)],
         }
@@ -254,7 +258,7 @@ def from_field(field, x):
         lambda level: coset_of(field, x, level),
         exact=True,
         known_valuation=field.valuation(x),
-        provenance={"kind": "from_field", "element": field.to_json(x)},
+        provenance={"kind": "from_field", "element": lambda: field.to_json(x)},
     )
 
 
@@ -482,7 +486,7 @@ def sigma_embed(x, rf):
         lambda level: coset_of(base, rf(x, level), level),
         exact=False,
         known_valuation=w,
-        provenance={"kind": "sigma", "element": rf.foreign.to_json(x)},
+        provenance={"kind": "sigma", "element": lambda: rf.foreign.to_json(x)},
     )
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "trop_translate",
     "order_from_hyperadd",
     "value_to_json",
-    "value_from_json",
 ]
 
 
@@ -342,7 +341,3 @@ def value_to_json(v):
     if v is INF:
         return "inf"
     return list(v.coords)
-
-
-def value_from_json(obj, arity=1):
-    return as_value(obj, arity)

@@ -347,11 +347,8 @@ _PAIRS = [LevelPair(a, b) for a in range(4) for b in range(a, 4)]
 def _over_field(suite):
     """Builder for a suite run over the field kind it is given.
 
-    Every such suite first draws the same sample elements from the rng,
-    used or not: the rest of its stream starts after that draw, so
-    dropping it would change the report of every seed.  Elements are
-    drawn with numerators and denominators up to the height, so the
-    height must be at least 1.
+    Elements are drawn with numerators and denominators up to the height,
+    so the height must be at least 1.
     """
     name = suite.__name__.strip("_").replace("_", "-")
 
@@ -359,15 +356,19 @@ def _over_field(suite):
         if height < 1:
             raise ValueError(f"suite {name!r} needs --height >= 1, got {height}")
         field = make_field(field, p)
-        elements = [sample_element(field, rng, height) for _ in range(max(8, samples // 8))]
-        return suite(field, elements, rng, p=p, samples=samples, height=height, digits=digits)
+        return suite(field, rng, p=p, samples=samples, height=height, digits=digits)
 
     build.takes_field = True
     return build
 
 
+def _sample_elements(field, rng, samples, height):
+    return [sample_element(field, rng, height) for _ in range(max(8, samples // 8))]
+
+
 @_over_field
-def _hom(field, elements, rng, *, p, samples, height, digits):
+def _hom(field, rng, *, p, samples, height, digits):
+    elements = _sample_elements(field, rng, samples, height)
     reports = [
         check_slice_triangles(field, _PAIRS, elements),
         check_projection_containment(field, _PAIRS[:6], elements[:12]),
@@ -375,7 +376,7 @@ def _hom(field, elements, rng, *, p, samples, height, digits):
     count = samples // 4 or 8
     for level in (0, 1, 2):
         reports.append(
-            check_hom_law(CosetCarrier(field, level), TropCarrier(1), coset_value, rng, samples=count)
+            check_hom_law(CosetCarrier(field, level), TropCarrier(), coset_value, rng, samples=count)
         )
     reports.append(
         check_hom_law(
@@ -386,7 +387,9 @@ def _hom(field, elements, rng, *, p, samples, height, digits):
 
 
 @_over_field
-def _cone(field, elements, rng, *, p, samples, height, digits):
+def _cone(field, rng, *, p, samples, height, digits):
+    elements = _sample_elements(field, rng, samples, height)
+
     def plain_sides(g):
         return lambda x: coset_of(field, x, g)
 
@@ -408,7 +411,7 @@ def _cone(field, elements, rng, *, p, samples, height, digits):
 
 
 @_over_field
-def _singlevalued(field, elements, rng, *, p, samples, height, digits):
+def _singlevalued(field, rng, *, p, samples, height, digits):
     reports = []
     for _ in range(max(4, samples // 16)):
         a = from_field(field, sample_element(field, rng, height))
@@ -449,7 +452,7 @@ def _universal(rng, *, field, p, samples, height, digits):
 
 
 @_over_field
-def _oracle_roundtrip(field, elements, rng, *, p, samples, height, digits):
+def _oracle_roundtrip(field, rng, *, p, samples, height, digits):
     report = LawReport("oracle-roundtrip")
     for _ in range(samples):
         report.tick()

@@ -155,7 +155,7 @@ def test_criterion_4_tower_laws_and_controls():
         check_projection_containment(field, pairs[:10], elements[:14]),
         check_hom_law(CosetCarrier(field, 3), CosetCarrier(field, 1),
                       lambda c: project(c, 1), rng, samples=120),
-        check_hom_law(CosetCarrier(field, 2), TropCarrier(1), coset_value,
+        check_hom_law(CosetCarrier(field, 2), TropCarrier(), coset_value,
                       rng, samples=120),
     ]
 

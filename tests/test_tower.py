@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hypertower import tower
 from hypertower.basefields import PadicRationals, RationalFunctions
 from hypertower.cosets import coset_eq, coset_of, coset_value, hyperadd, hypersum_contains
 from hypertower.tower import (
@@ -56,7 +58,37 @@ class TestProject:
             project(C(1, 1), -1)
 
 
+def old_triples(levels):
+    # the nested loop check_slice_triangles walked before, kept as the reference
+    out = []
+    for i, lo in enumerate(levels):
+        for mid in levels[i:]:
+            for hi in levels[levels.index(mid):]:
+                if not (lo <= mid <= hi):
+                    continue
+                out.append((lo, mid, hi))
+    return out
+
+
 class TestSliceTriangles:
+    @pytest.mark.parametrize(
+        "pairs", [PAIRS, PAIRS[:6], [LevelPair(1, 4), LevelPair(2, 2)], [LevelPair(0, 6)]]
+    )
+    def test_functoriality_triples_match_nested_loop(self, pairs):
+        calls = []
+
+        def recording(c, gamma):
+            calls.append((c.level, gamma))
+            return project(c, gamma)
+
+        check_slice_triangles(Q5, pairs, [Q5.one()], projector=recording)
+        # one call per pair for value preservation, then per triple:
+        # hi -> lo directly, hi -> mid, mid -> lo
+        rest = calls[len(pairs):]
+        got = [(rest[k][1], rest[k + 1][1], rest[k][0]) for k in range(0, len(rest), 3)]
+        levels = sorted({p.lower for p in pairs} | {p.upper for p in pairs})
+        assert got == old_triples(levels)
+
     def test_pass(self):
         rng = random.Random(2)
         rep = check_slice_triangles(Q5, PAIRS, elements(rng))
@@ -96,7 +128,7 @@ class TestHomLaw:
         rng = random.Random(6)
         for level in (0, 1, 2):
             rep = check_hom_law(
-                CosetCarrier(Q5, level), TropCarrier(1), coset_value, rng
+                CosetCarrier(Q5, level), TropCarrier(), coset_value, rng
             )
             assert rep.passed, rep.failures[:3]
 
@@ -125,6 +157,22 @@ class TestProjectionContainment:
         rng = random.Random(9)
         rep = check_projection_containment(Q5, PAIRS, elements(rng, 15))
         assert rep.passed and rep.samples > 0
+
+    def test_one_sum_per_element_pair_and_level(self, monkeypatch):
+        built = Counter()
+
+        def counting(a, b):
+            built[(a.rep, b.rep, a.level)] += 1
+            return hyperadd(a, b)
+
+        monkeypatch.setattr(tower, "hyperadd", counting)
+        els = list(dict.fromkeys(elements(random.Random(14), 10)))
+        rep = check_projection_containment(Q5, PAIRS[:6], els)
+        assert rep.passed
+        n = len(els)
+        # only the element pair (zero, zero) is skipped; PAIRS[:6] spans levels 0..3
+        assert set(built.values()) == {1}
+        assert len(built) == (n * (n + 1) // 2 - 1) * 4
 
     def test_memberwise_containment(self):
         rng = random.Random(10)
@@ -166,6 +214,24 @@ class TestCone:
         els = [x for x in elements(rng, 20) if not Q5.is_zero(x)]
         rep = cone_over_diagram(sides, PAIRS, els)
         assert rep.passed, rep.failures[:3]
+
+    def test_each_leg_built_and_applied_once(self):
+        built, applied = Counter(), Counter()
+
+        def sides(g):
+            built[g] += 1
+
+            def leg(x):
+                applied[(x, g)] += 1
+                return coset_of(Q5, x, g)
+
+            return leg
+
+        els = list(dict.fromkeys(elements(random.Random(15), 20)))
+        rep = cone_over_diagram(sides, PAIRS, els)
+        assert rep.passed and rep.samples == len(els) * len(PAIRS)
+        assert built == {g: 1 for g in range(4)}
+        assert applied == {(x, g): 1 for x in els for g in range(4)}
 
     def test_shifted_side_detected(self):
         rng = random.Random(13)

@@ -23,7 +23,6 @@ from .oag import INF
 
 __all__ = [
     "Approximation",
-    "CauchyWitness",
     "FpPoly",
     "RatFunc",
     "QuadElement",
@@ -32,7 +31,6 @@ __all__ = [
     "RationalFunctions",
     "QuadraticExtension",
     "hensel_sqrt",
-    "is_cauchy",
     "make_field",
 ]
 
@@ -108,9 +106,13 @@ def _exact_int(c, what):
 
 def _exact_rational(c, what):
     """The rational given as an int, a Fraction or a string such as "1/2";
-    a float or a bool is an error, as in ``_exact_int``."""
+    a float or a bool is an error, as in ``_exact_int``.  Exponent notation
+    is an error too: ``Fraction("1e20000000")`` expands to twenty million
+    digits before any bound on the input can be checked."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction, str)):
         raise ValueError(f"{what} must be an integer or a rational string, got {c!r}")
+    if isinstance(c, str) and ("e" in c or "E" in c):
+        raise ValueError(f"{what} must not use exponent notation, got {c!r}")
     return Fraction(c)
 
 
@@ -159,18 +161,6 @@ class Approximation:
 
     def to_json(self):
         return {"shift": self.shift, "digits": list(self.digits), "p": self.p}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(int(obj["shift"]), tuple(obj["digits"]), int(obj["p"]))
-
-
-@dataclass(frozen=True)
-class CauchyWitness:
-    """Index past which all pairwise differences exceed the target level."""
-
-    nu0: int
-    level: int
 
 
 class FpPoly:
@@ -255,42 +245,6 @@ class FpPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return FpPoly(self.p, out)
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = pow(other.coeffs[-1], -1, p)
-        d = other.degree
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] % p
-            if not c:
-                continue
-            f = c * inv_lead % p
-            q[i - d] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] = (rem[i - d + j] - f * oc) % p
-        return FpPoly(p, q), FpPoly(p, rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        inv = pow(self.coeffs[-1], -1, self.p)
-        return FpPoly(self.p, [c * inv for c in self.coeffs])
-
-    @staticmethod
-    def gcd(a, b):
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def __eq__(self, other):
         return (
@@ -565,7 +519,7 @@ class PadicRationals(ValuedField):
         if isinstance(obj, (Fraction, int)):
             return Fraction(obj)
         if isinstance(obj, str):
-            return Fraction(obj)
+            return _exact_rational(obj, "rational element")
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
             num, den = (_exact_int(c, "rational component") for c in obj)
             return Fraction(num, den)
@@ -785,7 +739,7 @@ class QuadraticExtension(ValuedField):
             a, b = (_exact_rational(c, "quadratic component") for c in obj)
             return QuadElement(self.p, a, b)
         if isinstance(obj, str):
-            return QuadElement(self.p, Fraction(obj), Fraction(0))
+            return QuadElement(self.p, _exact_rational(obj, "quadratic element"), Fraction(0))
         raise ValueError(f"cannot parse quadratic element from {obj!r}")
 
     def generator(self):
@@ -958,20 +912,3 @@ def hensel_sqrt(p, c, seed, n):
         raise AssertionError("lift failed to verify")
     return Approximation(0, _digits_of(x, p, n), p)
 
-
-def is_cauchy(field, xs, gamma):
-    """Smallest index past which all pairwise differences beat the level.
-
-    Returns None when no index certifies it; a witness must leave at
-    least two entries in the tail, since a single trailing element
-    certifies nothing about the sequence.  By the ultrametric inequality
-    a tail beats the level pairwise exactly when its consecutive
-    differences do, so one backward scan finds the smallest index.
-    """
-    xs = [field.check(x) for x in xs]
-    nu0 = len(xs) - 1
-    while nu0 > 0 and field.sub_valuation(xs[nu0 - 1], xs[nu0]) > gamma:
-        nu0 -= 1
-    if nu0 < len(xs) - 1:
-        return CauchyWitness(nu0, gamma)
-    return None

@@ -24,13 +24,10 @@ __all__ = [
     "coset_of",
     "coset_eq",
     "coset_mul",
-    "coset_inv",
     "coset_neg",
     "coset_value",
-    "canonical_key",
     "hyperadd",
     "hypersum_contains",
-    "hypersum_same_set",
     "hypersum_value_set",
     "iterated_contains",
     "member_candidates",
@@ -108,12 +105,6 @@ def coset_mul(a, b):
     return GammaCoset(a.field, a.level, a.field.mul(a.rep, b.rep))
 
 
-def coset_inv(a):
-    if a.is_zero():
-        raise ZeroDivisionError("inverse of the zero class")
-    return GammaCoset(a.field, a.level, a.field.inv(a.rep))
-
-
 def coset_neg(a):
     return GammaCoset(a.field, a.level, a.field.neg(a.rep))
 
@@ -121,24 +112,6 @@ def coset_neg(a):
 def coset_value(a):
     """Valuation of the class: shared by all representatives, INF for zero."""
     return a.value()
-
-
-def canonical_key(a):
-    """Hashable normal form (valuation, unit residue) -- rational field only.
-
-    Two rational classes are equal exactly when their keys match, which
-    makes the key usable for dict/set indexing where the equality
-    predicate itself cannot be.
-    """
-    if a.field.kind != "rational":
-        raise ValueError("canonical keys are only defined over the rationals")
-    if a.is_zero():
-        return ("zero", a.level)
-    p = a.field.p
-    e = a.value()
-    u = a.rep / a.field.uniformizer_pow(e)
-    m = p ** (a.level + 1)
-    return (e, u.numerator * pow(u.denominator, -1, m) % m, a.level)
 
 
 @dataclass(frozen=True)
@@ -188,25 +161,6 @@ def hypersum_contains(s, c):
     if c.is_zero():
         return s.contains_zero
     return s.field.sub_valuation(c.rep, s.center.rep) > s.radius
-
-
-def hypersum_same_set(s1, s2):
-    """Whether two descriptors denote the same set of classes.
-
-    Open balls coincide exactly when the radii agree and either center
-    lies inside the other ball; center classes themselves may differ.
-    """
-    if s1.field != s2.field or s1.level != s2.level:
-        return False
-    if (s1.singleton is None) != (s2.singleton is None):
-        return False
-    if s1.singleton is not None:
-        return coset_eq(s1.singleton, s2.singleton)
-    return (
-        s1.radius == s2.radius
-        and s1.contains_zero == s2.contains_zero
-        and s1.field.sub_valuation(s1.center.rep, s2.center.rep) > s1.radius
-    )
 
 
 def hypersum_value_set(s):

@@ -18,9 +18,7 @@ __all__ = [
     "Infinity",
     "GroupElement",
     "TropSet",
-    "as_value",
     "group_add",
-    "group_neg",
     "group_cmp",
     "trop_hyperadd",
     "trop_member",
@@ -130,9 +128,6 @@ class GroupElement:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return GroupElement(tuple(-a for a in self.coords))
-
     def __sub__(self, other):
         if other is INF:
             raise ValueError("the top element has no additive inverse")
@@ -201,43 +196,12 @@ def _wrap(v):
     raise TypeError(f"not an extended value: {v!r}")
 
 
-def as_value(v, arity=1):
-    """Parse ``v`` into a group element or ``INF``.
-
-    Accepts ``INF``, the string ``"inf"``, an int (arity 1 only), a
-    list/tuple of ints, or a ready-made element of matching arity.
-    """
-    if v is INF or v == "inf":
-        return INF
-    if isinstance(v, GroupElement):
-        if v.arity != arity:
-            raise ValueError(f"arity mismatch: expected {arity}, got {v.arity}")
-        return v
-    if isinstance(v, int):
-        if arity != 1:
-            raise ValueError("plain ints only denote arity-1 values")
-        return GroupElement((v,))
-    if isinstance(v, (list, tuple)):
-        g = GroupElement(v)
-        if g.arity != arity:
-            raise ValueError(f"arity mismatch: expected {arity}, got {g.arity}")
-        return g
-    raise TypeError(f"cannot interpret {v!r} as an extended value")
-
-
 def group_add(a, b):
     """Sum of two extended values; INF absorbs."""
     a, b = _wrap(a), _wrap(b)
     if a is INF or b is INF:
         return INF
     return a + b
-
-
-def group_neg(a):
-    a = _wrap(a)
-    if a is INF:
-        raise ValueError("the top element has no additive inverse")
-    return -a
 
 
 def group_cmp(a, b):

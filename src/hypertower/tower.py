@@ -94,15 +94,17 @@ def _levels(pairs):
 def check_slice_triangles(field, pairs, elements, projector=project):
     """Value preservation and functoriality of level-lowering on samples.
 
-    ``elements`` are raw field elements; classes are built at the upper
-    level of each pair and pushed down.  A replacement ``projector`` can
-    be supplied to exercise corrupted maps.
+    ``elements`` are raw field elements; each one's class is built once per
+    level and pushed down.  A replacement ``projector`` can be supplied to
+    exercise corrupted maps.
     """
     report = LawReport("slice-triangles")
+    levels = _levels(pairs)
+    classes = [(x, {g: coset_of(field, x, g) for g in levels}) for x in elements]
     for pair in pairs:
-        for x in elements:
+        for x, at in classes:
             report.tick()
-            upper = coset_of(field, x, pair.upper)
+            upper = at[pair.upper]
             lowered = projector(upper, pair.lower)
             if coset_value(lowered) != coset_value(upper):
                 report.fail(
@@ -111,10 +113,10 @@ def check_slice_triangles(field, pairs, elements, projector=project):
                     upper=pair.upper,
                     lower=pair.lower,
                 )
-    for lo, mid, hi in combinations_with_replacement(_levels(pairs), 3):
-        for x in elements:
+    for lo, mid, hi in combinations_with_replacement(levels, 3):
+        for x, at in classes:
             report.tick()
-            top = coset_of(field, x, hi)
+            top = at[hi]
             direct = projector(top, lo)
             via = projector(projector(top, mid), lo)
             if not coset_eq(direct, via):

@@ -146,6 +146,26 @@ def test_malformed_element_inputs_exit_two(capsys, field, text):
 
 
 @pytest.mark.parametrize(
+    "field,text",
+    [
+        ("rational", '"1e20000000"'),
+        ("quadratic", '"1e20000000"'),
+        ("quadratic", '{"a": "1E3000000", "b": 0}'),
+    ],
+)
+def test_exponent_notation_exits_two_fast(capsys, field, text):
+    # Fraction("1e20000000") would expand twenty million digits first
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "coset", "--field", field, "--p", "5", "--gamma", "1", "--x", text
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "malformed element" in err
+
+
+@pytest.mark.parametrize(
     "field,text,rep",
     [
         ("rational", "[3, 2]", "3/2"),

@@ -5,10 +5,8 @@ from hypertower.oag import (
     INF,
     GroupElement,
     TropSet,
-    as_value,
     group_add,
     group_cmp,
-    group_neg,
     order_from_hyperadd,
     trop_hyperadd,
     trop_member,
@@ -51,11 +49,6 @@ class TestGroupOps:
             group_add(g2(1, 2), GroupElement(3))
         with pytest.raises(ValueError):
             group_cmp(g2(1, 2), 3)
-
-    def test_neg(self):
-        assert group_neg(g2(1, -2)) == g2(-1, 2)
-        with pytest.raises(ValueError):
-            group_neg(INF)
 
     def test_int_interop(self):
         assert GroupElement(3) == 3
@@ -164,6 +157,16 @@ def test_translation_distributes(e, a, b):
     lhs = trop_translate(e, trop_hyperadd(a, b))
     rhs = trop_hyperadd(group_add(e, a), group_add(e, b))
     assert lhs == rhs
+
+
+def as_value(v, arity=1):
+    """Referee for ``value_to_json``: read a JSON extended value back."""
+    if v == "inf":
+        return INF
+    g = GroupElement(v)
+    if g.arity != arity:
+        raise ValueError(f"arity mismatch: expected {arity}, got {g.arity}")
+    return g
 
 
 @given(values)

@@ -1,0 +1,22 @@
+import re
+from pathlib import Path
+
+import hypertower
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _tour():
+    text = README.read_text()
+    section = text.split("## Library quick tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_quick_tour_runs():
+    exec(compile(_tour(), str(README), "exec"), {})
+
+
+def test_package_root_exports_the_tour():
+    used = set(re.findall(r"\bht\.(\w+)", _tour()))
+    assert set(hypertower.__all__) == used
+    assert len(hypertower.__all__) == len(used)

@@ -94,6 +94,20 @@ class TestSliceTriangles:
         rep = check_slice_triangles(Q5, PAIRS, elements(rng))
         assert rep.passed and rep.samples > 0
 
+    def test_each_class_built_once(self, monkeypatch):
+        built = Counter()
+
+        def counting(field, x, g):
+            built[(x, g)] += 1
+            return coset_of(field, x, g)
+
+        monkeypatch.setattr(tower, "coset_of", counting)
+        els = list(dict.fromkeys(elements(random.Random(16), 20)))
+        rep = check_slice_triangles(Q5, PAIRS, els)
+        # 10 pairs and 20 level triples per element, over 4 levels
+        assert rep.passed and rep.samples == len(els) * (len(PAIRS) + 20)
+        assert built == {(x, g): 1 for x in els for g in range(4)}
+
     def test_function_field_pass(self):
         F = RationalFunctions(5)
         rng = random.Random(3)

@@ -18,6 +18,8 @@ from hypertower.basefields import (
     hensel_sqrt,
     int_valuation,
     _is_prime,
+    _poly_exact_div,
+    _poly_rem,
     make_field,
 )
 
@@ -411,6 +413,51 @@ class TestPrimality:
 
 
 class TestPolyAlgebra:
+    """Division over GF(p)[t] as RatFunc normalizes: ``_poly_rem`` gives
+    the remainder and ``_poly_exact_div`` the quotient by a divisor."""
+
+    def test_divmod(self):
+        a = FpPoly(5, (1, 0, 1))  # 1 + t^2
+        b = FpPoly(5, (1, 1))     # 1 + t
+        r = _poly_rem(a.coeffs, b.coeffs, 5)
+        q = _poly_exact_div((a - FpPoly(5, r)).coeffs, b.coeffs, 5)
+        assert (q, r) == ((4, 1), (2,))  # 1 + t^2 = (t - 1)(t + 1) + 2
+        assert FpPoly(5, q) * b + FpPoly(5, r) == a
+
+    def test_gcd_monic(self):
+        # 2t(1+t) / 3t: the common factor t cancels, 1/3 = 2 mod 5
+        x = RatFunc(FpPoly(5, (0, 2, 2)), FpPoly(5, (0, 3)))
+        assert (x.num.coeffs, x.den.coeffs) == ((4, 4), (1,))
+        # 2(1+t)(2+t) / 3(1+t)(3+t) = (3 + 4t) / (3 + t), a non-monic gcd
+        one_t = FpPoly(5, (1, 1))
+        y = RatFunc(
+            one_t * FpPoly(5, (2, 1)) * FpPoly.constant(5, 2),
+            one_t * FpPoly(5, (3, 1)) * FpPoly.constant(5, 3),
+        )
+        assert (y.num.coeffs, y.den.coeffs) == ((3, 4), (3, 1))
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        rng = random.Random(31)
+
+        def to_sympy(f):
+            return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=f.p)
+
+        def from_sympy(g, p):
+            # sympy prints symmetric residues; FpPoly reduces them mod p
+            return FpPoly(p, reversed(g.all_coeffs()))
+
+        for p in (2, 3, 5, 7):
+            for _ in range(40):
+                a, b = _draw_poly(rng, p, 0, 8), _draw_poly(rng, p, 1, 6)
+                if b.is_zero():
+                    continue
+                sq, sr = divmod(to_sympy(a), to_sympy(b))
+                q, r = from_sympy(sq, p), from_sympy(sr, p)
+                assert _poly_rem(a.coeffs, b.coeffs, p) == r.coeffs, (a, b)
+                assert _poly_exact_div((q * b).coeffs, b.coeffs, p) == q.coeffs, (a, b)
+
     def test_ratfunc_reduction(self):
         x = RatFunc(FpPoly(5, (0, 2, 2)), FpPoly(5, (0, 4)))
         assert x == RatFunc(FpPoly(5, (3, 3)))  # (2t+2t^2)/4t = (2+2t)/4 = 3+3t
@@ -513,6 +560,22 @@ class TestJson:
         x = E5.element({"a": "1/2", "b": "3"})
         assert x == QuadElement(5, Fraction(1, 2), Fraction(3))
         assert E5.to_json(x) == {"a": "1/2", "b": "3"}
+
+    @pytest.mark.parametrize(
+        "field,obj",
+        [
+            (Q5, "1e3"),
+            (E5, "2E-1"),
+            (E5, {"a": "1e2", "b": 0}),
+            (E5, ["0", "-1e1"]),
+        ],
+        ids=["rational", "quadratic", "quadratic-a", "quadratic-b"],
+    )
+    def test_exponent_notation_rejected(self, field, obj):
+        # every rational string goes through _exact_rational, which would
+        # otherwise hand "1e20000000" to Fraction and expand every digit
+        with pytest.raises(ValueError, match="exponent notation"):
+            field.element(obj)
 
     def test_approximation(self):
         a = Approximation(-1, (4, 2, 2), 5)

@@ -151,6 +151,7 @@ def test_malformed_element_inputs_exit_two(capsys, field, text):
         ("rational", '"1e20000000"'),
         ("quadratic", '"1e20000000"'),
         ("quadratic", '{"a": "1E3000000", "b": 0}'),
+        ("quadratic", '["0", "1e20000000"]'),
     ],
 )
 def test_exponent_notation_exits_two_fast(capsys, field, text):

@@ -125,7 +125,7 @@ def _int_coeffs(obj):
 def padic_valuation(q, p):
     if not isinstance(q, (Fraction, int)):
         q = Fraction(q)
-    if q == 0:
+    if not q:
         return INF
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
@@ -454,6 +454,8 @@ class ValuedField:
         self.p = p
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, ValuedField)
             and self.kind == other.kind
@@ -507,9 +509,11 @@ class PadicRationals(ValuedField):
     kind = "rational"
 
     def check(self, x):
-        if isinstance(x, Fraction):
+        # the exact type first, as the hot path; a bool is not a number,
+        # as in the parsers
+        if type(x) is Fraction or isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         raise ValueError(f"not a rational element: {x!r}")
 
@@ -532,7 +536,7 @@ class PadicRationals(ValuedField):
         return Fraction(1)
 
     def is_zero(self, x):
-        return self.check(x) == 0
+        return not self.check(x)
 
     def inv(self, x):
         x = self.check(x)
@@ -544,13 +548,22 @@ class PadicRationals(ValuedField):
         return padic_valuation(self.check(x), self.p)
 
     def sub_valuation(self, x, y):
-        # v(x - y) from the cross difference, without building x - y
-        x, y = self.check(x), self.check(y)
+        # v(x - y) from the cross difference, without building x - y;
+        # int_valuation runs only on a term that p divides
+        if type(x) is not Fraction:
+            x = self.check(x)
+        if type(y) is not Fraction:
+            y = self.check(y)
         xd, yd, p = x.denominator, y.denominator, self.p
         diff = x.numerator * yd - y.numerator * xd
-        if diff == 0:
+        if not diff:
             return INF
-        return int_valuation(diff, p) - int_valuation(xd, p) - int_valuation(yd, p)
+        v = int_valuation(diff, p) if diff % p == 0 else 0
+        if xd % p == 0:
+            v -= int_valuation(xd, p)
+        if yd % p == 0:
+            v -= int_valuation(yd, p)
+        return v
 
     def uniformizer_pow(self, k):
         return Fraction(self.p) ** k
@@ -596,7 +609,7 @@ class RationalFunctions(ValuedField):
     def check(self, x):
         if isinstance(x, RatFunc) and x.p == self.p:
             return x
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return RatFunc(FpPoly.constant(self.p, x))
         raise ValueError(f"not a function-field element: {x!r}")
 
@@ -723,7 +736,7 @@ class QuadraticExtension(ValuedField):
     def check(self, x):
         if isinstance(x, QuadElement) and x.p == self.p:
             return x
-        if isinstance(x, (Fraction, int)):
+        if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
             return QuadElement(self.p, Fraction(x), Fraction(0))
         raise ValueError(f"not a quadratic-extension element: {x!r}")
 

@@ -21,6 +21,7 @@ __all__ = [
     "GammaCoset",
     "HyperSum",
     "IteratedResult",
+    "check_level",
     "coset_of",
     "coset_eq",
     "coset_mul",
@@ -34,6 +35,16 @@ __all__ = [
 ]
 
 
+def check_level(level):
+    """A level as given, if it is a nonnegative int.  A float, bool or
+    string is an error rather than truncated, as is a negative level."""
+    if type(level) is not int:
+        raise ValueError(f"a level must be an integer, got {level!r}")
+    if level < 0:
+        raise ValueError("levels must be >= 0")
+    return level
+
+
 class GammaCoset:
     """The class of a field element at a given nonnegative level.
 
@@ -44,11 +55,8 @@ class GammaCoset:
     __slots__ = ("field", "level", "rep")
 
     def __init__(self, field, level, rep):
-        level = int(level)
-        if level < 0:
-            raise ValueError("levels must be >= 0")
         self.field = field
-        self.level = level
+        self.level = check_level(level)
         self.rep = field.check(rep)
 
     def is_zero(self):
@@ -72,7 +80,7 @@ class GammaCoset:
 
 
 def _same_world(a, b):
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError("cosets from different fields")
     if a.level != b.level:
         raise ValueError(f"level mismatch: {a.level} vs {b.level}")
@@ -158,9 +166,10 @@ def hypersum_contains(s, c):
     _same_world(s, c)
     if s.singleton is not None:
         return coset_eq(c, s.singleton)
-    if c.is_zero():
+    f = s.field
+    if f.is_zero(c.rep):
         return s.contains_zero
-    return s.field.sub_valuation(c.rep, s.center.rep) > s.radius
+    return f.sub_valuation(c.rep, s.center.rep) > s.radius
 
 
 def hypersum_value_set(s):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .oag import INF
 from .basefields import Approximation
-from .cosets import GammaCoset, coset_eq, coset_of, hyperadd, hypersum_contains
+from .cosets import GammaCoset, check_level, coset_eq, coset_of, hyperadd, hypersum_contains
 from .tower import LawReport, project
 
 __all__ = [
@@ -175,9 +175,7 @@ class CoherentElement:
         valuation and against the deepest class under ``project``, so a
         misbehaving generator is surfaced with the offending level.
         """
-        level = int(level)
-        if level < 0:
-            raise ValueError("levels must be >= 0")
+        level = check_level(level)
         got = self._memo.get(level)
         if got is not None:
             return got

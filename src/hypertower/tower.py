@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement
 from .oag import INF, group_add, trop_hyperadd, trop_member
 from .cosets import (
     GammaCoset,
+    check_level,
     coset_eq,
     coset_mul,
     coset_of,
@@ -79,9 +80,7 @@ class LawReport:
 
 def project(c, gamma):
     """Lower a class to level gamma, keeping the representative."""
-    gamma = int(gamma)
-    if gamma < 0:
-        raise ValueError("levels must be >= 0")
+    gamma = check_level(gamma)
     if gamma > c.level:
         raise ValueError(f"cannot project level {c.level} up to {gamma}")
     return GammaCoset(c.field, gamma, c.rep)

@@ -118,7 +118,7 @@ def test_criterion_2_value_constancy_and_balls():
             if hypersum_contains(s, sample_nonmember(s, rng)):
                 mismatches += 1
             z = sample_element(field, rng, height=25)
-            want = definitional_member(field, z, x, y, level)
+            want = definitional_member(field, [z], x, y, level)[0]
             if hypersum_contains(s, coset_of(field, z, level)) != want:
                 mismatches += 1
     criterion(

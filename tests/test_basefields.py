@@ -53,6 +53,17 @@ class TestArith:
         with pytest.raises(ZeroDivisionError):
             E5.inv(E5.zero())
 
+    @pytest.mark.parametrize("field", [Q5, F5T, E5], ids=lambda f: f.kind)
+    def test_check_rejects_bool(self, field):
+        # as in the parsers, a bool is not a number; an int still is
+        assert field.check(1) == field.one()
+        assert field.sub_valuation(field.check(50), 0) == field.valuation(field.check(50))
+        for b in (True, False):
+            with pytest.raises(ValueError):
+                field.check(b)
+            with pytest.raises(ValueError):
+                field.sub_valuation(b, field.one())
+
     def test_descriptor_mismatch(self):
         with pytest.raises(ValueError):
             Q5.add(Fraction(1), F5T.one())

@@ -27,7 +27,8 @@ from hypertower.cosets import (
     member_candidates,
 )
 from hypertower.sampling import sample_element, sample_hypersum, sample_member, sample_nonmember
-from hypertower.tower import LawReport
+from hypertower.limit import from_field
+from hypertower.tower import LawReport, project
 from hypertower.suites import definitional_member, lee_suite, reduced_rationals
 
 Q5 = PadicRationals(5)
@@ -72,6 +73,18 @@ class TestCosetBasics:
         with pytest.raises(ValueError):
             C(1, -1)
 
+    @pytest.mark.parametrize("level", [1.9, 1.0, True, False, "1", -1])
+    def test_level_validated_not_truncated(self, level):
+        # each entry point that takes a level rejects it rather than
+        # reading int(level)
+        deep = coset_of(Q5, Fraction(3), 3)
+        with pytest.raises(ValueError):
+            coset_of(Q5, Fraction(3), level)
+        with pytest.raises(ValueError):
+            project(deep, level)
+        with pytest.raises(ValueError):
+            from_field(Q5, 3).at(level)
+
     def test_eq_examples(self):
         assert coset_eq(C(2, 1), C(27, 1))       # v(-25)=2 > 1
         assert not coset_eq(C(2, 1), C(7, 1))    # v(-5)=1, not > 1
@@ -90,6 +103,19 @@ class TestCosetBasics:
         other = PadicRationals(3)
         with pytest.raises(ValueError):
             coset_eq(C(1, 1), C(1, 1, other))
+
+    def test_same_world_on_the_membership_route(self):
+        # an equal field held by another object is the same world; a
+        # different prime or level is not
+        s = hyperadd(C(1, 1), C(4, 1))
+        twin = PadicRationals(5)
+        assert twin is not Q5
+        assert hypersum_contains(s, C(5, 1, twin))
+        assert coset_eq(C(2, 1, twin), C(27, 1))
+        with pytest.raises(ValueError, match="different fields"):
+            hypersum_contains(s, C(5, 1, PadicRationals(7)))
+        with pytest.raises(ValueError, match="level mismatch"):
+            hypersum_contains(s, C(5, 2, twin))
 
     def test_dunder_eq(self):
         assert C(2, 1) == C(27, 1)
@@ -373,16 +399,58 @@ class TestTwoRouteSuite:
                     if x == 0 and y == 0:
                         continue
                     s = hyperadd(C(x, gamma), C(y, gamma))
-                    for u in universe:
-                        for z in (x + y * u, x * u + y):
-                            want = definitional_member(field, z, x, y, gamma)
-                            got = hypersum_contains(s, C(z, gamma))
-                            assert want == got
+                    zs = [z for u in universe for z in (x + y * u, x * u + y)]
+                    wants = definitional_member(field, zs, x, y, gamma)
+                    assert len(wants) == len(zs)
+                    for z, want in zip(zs, wants):
+                        assert want == hypersum_contains(s, C(z, gamma))
 
     def test_lee_suite_clean(self):
         rng = random.Random(0)
         rep = lee_suite(5, 1, rng, exhaustive_bound=4, sample_bound=12, sample_pairs=300)
         assert rep.passed, rep.failures[:3]
+
+
+class TestEachCheckPaidOnce:
+    def test_referee_inverts_each_operand_once_per_spot_pair(self, monkeypatch):
+        inverted = []
+        real_inv = PadicRationals.inv
+
+        def inv(self, x):
+            inverted.append(x)
+            return real_inv(self, x)
+
+        spots = []
+        real_spot = suites._spot_candidates
+
+        def spot(field, x, y, units):
+            spots.append((x, y))
+            return real_spot(field, x, y, units)
+
+        monkeypatch.setattr(PadicRationals, "inv", inv)
+        monkeypatch.setattr(suites, "_spot_candidates", spot)
+        rep = lee_suite(5, 1, random.Random(3), exhaustive_bound=2, sample_bound=12, sample_pairs=400)
+        assert rep.passed
+        assert len(spots) > 40
+        assert len(inverted) == sum((x != 0) + (y != 0) for x, y in spots)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_each_candidate_class_built_once_per_unordered_pair(self, monkeypatch, p):
+        built = []
+        real = suites.coset_of
+
+        def counting(field, x, gamma):
+            built.append(x)
+            return real(field, x, gamma)
+
+        monkeypatch.setattr(suites, "coset_of", counting)
+        rep = _exhaustive_only(p, 1, 4)
+        assert rep.passed
+        # two operand classes per ordered pair, of which there are n*n - 1;
+        # the candidates are 2n per unordered pair of distinct operands and
+        # n for x == y, n*(n*n - 1) in all: half of one build per ordered pair
+        n = len(reduced_rationals(4))
+        assert len(built) == 2 * (n * n - 1) + n * (n * n - 1)
 
 
 # -- the lee suite's exhaustive tier against its row-major form -------------
@@ -415,10 +483,7 @@ def _row_major_exhaustive(p, gamma, bound):
                         (z2, vu > gamma or vx + vu - vy > gamma),
                     )
                 else:
-                    cand = (
-                        (z1, suites.definitional_member(field, z1, x, y, gamma)),
-                        (z2, suites.definitional_member(field, z2, x, y, gamma)),
-                    )
+                    cand = zip((z1, z2), suites.definitional_member(field, [z1, z2], x, y, gamma))
                 for z, want in cand:
                     got = suites.hypersum_contains(s, coset_of(field, z, gamma))
                     if want != got:
@@ -463,7 +528,7 @@ class TestExhaustiveTier:
         def by_definition(s, c):
             asked.append(1)
             x, y = pair
-            return definitional_member(s.field, c.rep, x, y, c.level)
+            return definitional_member(s.field, [c.rep], x, y, c.level)[0]
 
         monkeypatch.setattr(suites, "hypersum_contains", by_definition)
         rep = _exhaustive_only(p, gamma, 4)
@@ -671,7 +736,7 @@ class TestSuiteHelpers:
                 a, b = (x, y) if rng.random() < 0.5 else (y, x)
                 z = field.add(a, field.mul(b, u))
             want = _add_neg_member(field, z, x, y, gamma)
-            assert definitional_member(field, z, x, y, gamma) == want
+            assert definitional_member(field, [z], x, y, gamma) == [want]
             verdicts[want] += 1
         assert verdicts[True] > 20 and verdicts[False] > 20
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul as _mul
+from operator import index as _index, mul as _mul
 
 from .oag import INF
 
@@ -116,6 +116,13 @@ def _exact_rational(c, what):
     return Fraction(c)
 
 
+def _exact_index(c, what):
+    """An int or an ``__index__`` type; a float or a bool is an error."""
+    if type(c) is not int and (isinstance(c, bool) or not hasattr(c, "__index__")):
+        raise ValueError(f"{what} must be an integer, got {c!r}")
+    return _index(c)
+
+
 def _int_coeffs(obj):
     if not isinstance(obj, (list, tuple)):
         raise ValueError(f"coefficients must be a list of integers, got {obj!r}")
@@ -152,7 +159,7 @@ class Approximation:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple([_exact_index(d, "a digit") for d in self.digits]))
         if any(d < 0 or d >= self.p for d in self.digits):
             raise ValueError("digits must lie in 0..p-1")
 
@@ -169,7 +176,7 @@ class FpPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs=()):
-        cs = [int(c) % p for c in coeffs]
+        cs = [_exact_index(c, "a coefficient") % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.p = p
@@ -225,8 +232,13 @@ class FpPoly:
         return FpPoly(self.p, self.coeffs[k:])
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPoly(self.p, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b, p = self.coeffs, other.coeffs, self.p
+        if len(a) < len(b):
+            a, b = b, a
+        cs = [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):])
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return FpPoly._reduced(p, tuple(cs))
 
     def __neg__(self):
         return FpPoly(self.p, [-c for c in self.coeffs])
@@ -236,15 +248,7 @@ class FpPoly:
         return FpPoly(self.p, [self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return FpPoly(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return FpPoly(self.p, out)
+        return FpPoly._reduced(self.p, _poly_mul(self.coeffs, other.coeffs, self.p))
 
     def __eq__(self, other):
         return (
@@ -270,6 +274,19 @@ class FpPoly:
             else:
                 terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
         return " + ".join(terms)
+
+
+def _poly_mul(a, b, p):
+    """Product of two reduced, trimmed tuples over GF(p), reduced once at
+    the end; GF(p) has no zero divisors, so nothing needs trimming."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return tuple([c % p for c in out])
 
 
 def _poly_rem(a, b, p):
@@ -313,8 +330,30 @@ def _poly_exact_div(a, b, p):
     return tuple(q)
 
 
+def _cancel(a, b, p):
+    """a and b, a nonzero, with their gcd found by Euclid divided out; as
+    they are when either is a nonzero constant."""
+    if len(a) == 1 or len(b) == 1:
+        return a, b
+    g, r = b, _poly_rem(a, b, p)
+    while r:
+        g, r = r, _poly_rem(g, r, p)
+    if len(g) == 1:
+        return a, b
+    return _poly_exact_div(a, g, p), _poly_exact_div(b, g, p)
+
+
+def _monic(p, n, d):
+    """n and d scaled by the inverse of d's leading coefficient."""
+    inv = pow(d[-1], -1, p)
+    if inv == 1:
+        return n, d
+    return tuple([c * inv % p for c in n]), tuple([c * inv % p for c in d])
+
+
 class RatFunc:
-    """Reduced ratio of GF(p)[t] polynomials with a monic denominator."""
+    """Reduced ratio of GF(p)[t] polynomials with a monic denominator; sums
+    and products follow Henrici's rule, as ``fractions.Fraction`` does."""
 
     __slots__ = ("num", "den")
 
@@ -326,20 +365,15 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         p, n, d = den.p, num.coeffs, den.coeffs
-        if not n:
-            d = (1,)
-        elif len(n) > 1 and len(d) > 1:
-            g, r = d, _poly_rem(n, d, p)
-            while r:
-                g, r = r, _poly_rem(g, r, p)
-            if len(g) > 1:
-                n, d = _poly_exact_div(n, g, p), _poly_exact_div(d, g, p)
-        inv = pow(d[-1], -1, p)
-        if inv != 1:
-            n = tuple(c * inv % p for c in n)
-            d = tuple(c * inv % p for c in d)
-        self.num = FpPoly._reduced(p, n)
-        self.den = FpPoly._reduced(p, d)
+        n, d = _monic(p, *_cancel(n, d, p)) if n else ((), (1,))
+        self.num, self.den = FpPoly._reduced(p, n), FpPoly._reduced(p, d)
+
+    @classmethod
+    def _normal(cls, p, n, d):
+        """Wrap a coprime numerator and a monic denominator as they are."""
+        x = object.__new__(cls)
+        x.num, x.den = FpPoly._reduced(p, n), FpPoly._reduced(p, d if n else (1,))
+        return x
 
     @property
     def p(self):
@@ -354,21 +388,36 @@ class RatFunc:
         return self.num.order() - self.den.order()
 
     def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        # with g = gcd(b, d), a/b + c/d = (a(d/g) + c(b/g)) / ((b/g)d), which
+        # is already reduced when g = 1
+        p = self.p
+        b, d = _cancel(self.den.coeffs, other.den.coeffs, p)
+        num = self.num * FpPoly._reduced(p, d) + other.num * FpPoly._reduced(p, b)
+        den = FpPoly._reduced(p, _poly_mul(b, other.den.coeffs, p))
+        if len(b) == len(self.den.coeffs):
+            return RatFunc._normal(p, num.coeffs, den.coeffs)
+        return RatFunc(num, den)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        p = self.p
+        return RatFunc._normal(p, tuple([-c % p for c in self.num.coeffs]), self.den.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
+        # cancel gcd(a, d) and gcd(c, b) first: (a/b)(c/d) is then reduced
+        p, a, b = self.p, self.num.coeffs, self.den.coeffs
+        c, d = other.num.coeffs, other.den.coeffs
+        if not a or not c:
+            return RatFunc._normal(p, (), (1,))
+        (a, d), (c, b) = _cancel(a, d, p), _cancel(c, b, p)
+        return RatFunc._normal(p, *_monic(p, _poly_mul(a, c, p), _poly_mul(b, d, p)))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        return RatFunc._normal(self.p, *_monic(self.p, self.den.coeffs, self.num.coeffs))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -398,8 +447,10 @@ class QuadElement:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            c = getattr(self, name)
+            if type(c) is not Fraction:
+                object.__setattr__(self, name, Fraction(_exact_index(c, "a component")))
 
     def is_zero(self):
         return self.a == 0 and self.b == 0
@@ -828,8 +879,20 @@ class QuadraticExtension(ValuedField):
         ord_u = int_valuation(u, p)
         return m + ord_u, u // p ** ord_u % p ** n
 
+    def _value_ints(self, an, ad, bn, bd):
+        """v(an/ad + (bn/bd) r).  The root s is a unit, so components of unequal
+        value cannot cancel; only equal values need the norm window."""
+        p = self.p
+        va = int_valuation(an, p) - int_valuation(ad, p) if an else INF
+        vb = int_valuation(bn, p) - int_valuation(bd, p) if bn else INF
+        if va != vb:
+            return min(va, vb)
+        return self._window_ints(an, ad, bn, bd, 1)[0]
+
     def valuation(self, x):
-        return self._window(x, 1)[0]
+        x = self.check(x)
+        a, b = x.a, x.b
+        return self._value_ints(a.numerator, a.denominator, b.numerator, b.denominator)
 
     def sub_valuation(self, x, y):
         # v(x - y) from the component cross differences, left unreduced
@@ -840,7 +903,7 @@ class QuadraticExtension(ValuedField):
         ad, bd = xa.denominator * ya.denominator, xb.denominator * yb.denominator
         an = xa.numerator * ya.denominator - ya.numerator * xa.denominator
         bn = xb.numerator * yb.denominator - yb.numerator * xb.denominator
-        return self._window_ints(an, ad, bn, bd, 1)[0]
+        return self._value_ints(an, ad, bn, bd)
 
     def expand(self, x, n):
         if n < 1:

@@ -200,18 +200,20 @@ def member_candidates(s):
 
     Every candidate is a genuine member (center, zero when admitted, and
     perturbations of the center by u * pi^(r + k) for the unit digits
-    u = 1, 2 and k = 1..3, just inside the radius r).
+    u = 1, 2 and k = 1..3, just inside the radius r).  As v(u * pi^(r + k))
+    = r + k, those with r + k > g + v(center) fall onto the center: not built.
     """
     if s.singleton is not None:
         return [s.singleton]
-    f, g = s.field, s.level
-    out = [s.center]
-    if s.contains_zero:
+    f, g, center = s.field, s.level, s.center
+    out = [center]
+    if s.contains_zero and not center.is_zero():
         out.append(GammaCoset(f, g, f.zero()))
-    for k in range(1, 4):
+    top = 3 if center.is_zero() else min(3, g + center.value() - s.radius)
+    for k in range(1, top + 1):
         for i in range(2):
             w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(i))
-            cand = GammaCoset(f, g, f.add(s.center.rep, w))
+            cand = GammaCoset(f, g, f.add(center.rep, w))
             if not any(coset_eq(cand, seen) for seen in out):
                 out.append(cand)
     return out

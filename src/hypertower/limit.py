@@ -522,6 +522,8 @@ def check_singlevalued(a, b, n, rng, chains=8):
             report.fail(law_part="degenerate-sum")
         return report
     m = min(va, vb)
+    # the level sums are shared by every chain, each built on first reach
+    sums = []
 
     for i in range(chains):
         report.tick()
@@ -540,7 +542,9 @@ def check_singlevalued(a, b, n, rng, chains=8):
         coherent = True
         member_ok = True
         for level in range(n + 1):
-            s = hyperadd(a.at(level), b.at(level))
+            if level == len(sums):
+                sums.append(hyperadd(a.at(level), b.at(level)))
+            s = sums[level]
             try:
                 c = choice.at(level)
             except CoherenceError:

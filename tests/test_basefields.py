@@ -17,11 +17,13 @@ from hypertower.basefields import (
     RationalFunctions,
     hensel_sqrt,
     int_valuation,
+    padic_valuation,
     _is_prime,
     _poly_exact_div,
     _poly_rem,
     make_field,
 )
+from hypertower import basefields
 
 Q5 = PadicRationals(5)
 Q2 = PadicRationals(2)
@@ -555,6 +557,144 @@ class TestRatFunc:
                     assert to_sympy(r.num) * sad * sbd == to_sympy(r.den) * want, (x, y)
                     assert r.den.coeffs[-1] == 1
                     assert to_sympy(r.num).gcd(to_sympy(r.den)).degree() <= 0
+
+
+class TestHenrici:
+    """RatFunc sums and products against the general constructor fed a
+    test-side cross-multiplication, and against sympy's cancellation."""
+
+    @staticmethod
+    def _conv(a, b, p):
+        # schoolbook product of coefficient tuples, kept apart from _poly_mul
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, c in enumerate(a):
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+        return FpPoly(p, out)
+
+    @staticmethod
+    def _operands(rng, p):
+        # reduced pairs whose denominators do and do not share a factor,
+        # and polynomials (constant denominators)
+        common = FpPoly(p, (rng.randrange(p), 1))
+        mode = rng.choice(["polynomial", "shared", "drawn"])
+        parts = []
+        for k in range(2):
+            num, den = _draw_ratfunc_parts(rng, p)
+            if mode == "polynomial" and k == 0:
+                den = FpPoly.constant(p, 1)
+            elif mode == "shared":
+                den = den * common
+            parts.append(RatFunc(num, den))
+        return parts
+
+    def test_matches_general_constructor_and_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        rng = random.Random(61)
+        shared = 0
+        for p in (2, 3, 5, 7):
+
+            def to_sympy(f):
+                return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=p)
+
+            def cancel(num, den):
+                # sympy's lowest terms, scaled to a monic denominator
+                g = num.gcd(den)
+                num, den = num.exquo(g), den.exquo(g)
+                lead = den.LC()
+                num, den = num.exquo_ground(lead), den.exquo_ground(lead)
+                return FpPoly(p, reversed(num.all_coeffs())), FpPoly(p, reversed(den.all_coeffs()))
+
+            for _ in range(60):
+                x, y = self._operands(rng, p)
+                a, b, c, d = (f.coeffs for f in (x.num, x.den, y.num, y.den))
+                shared += _euclid_gcd(b, d, p) != [1]
+                cross_add = (self._conv(a, d, p) + self._conv(c, b, p), self._conv(b, d, p))
+                cross_mul = (self._conv(a, c, p), self._conv(b, d, p))
+                for got, (num, den) in ((x + y, cross_add), (x * y, cross_mul)):
+                    assert got == RatFunc(num, den), (x, y)
+                    want = cancel(to_sympy(num), to_sympy(den)) if num.coeffs else (num, FpPoly(p, (1,)))
+                    assert (got.num, got.den) == want, (x, y)
+        assert shared > 20
+
+    def test_polynomial_sum_runs_no_remainder(self, monkeypatch):
+        calls = []
+        real = basefields._poly_rem
+
+        def counting(a, b, p):
+            calls.append((a, b))
+            return real(a, b, p)
+
+        x = RatFunc(FpPoly(5, (1, 2, 0, 3)), FpPoly(5, (2, 1, 1)))
+        y = F5T.poly(4, 0, 1, 1)
+        monkeypatch.setattr(basefields, "_poly_rem", counting)
+        total = (x + y, y + x, x - y)
+        assert calls == []
+        monkeypatch.undo()
+        assert total[0] == total[1] == RatFunc(x.num + y.num * x.den, x.den)
+        assert total[2] == RatFunc(x.num - y.num * x.den, x.den)
+
+
+class TestQuadraticValueShortCut:
+    """valuation and sub_valuation read min(v(a), v(b)) when the component
+    values differ; the norm window is the referee."""
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_matches_window(self, p):
+        field = QuadraticExtension(p)
+        rng = random.Random(67 + p)
+
+        def component(k):
+            # a unit times p^k; a negative k gives a p-divisible denominator
+            u = Fraction(rng.choice([1, -1]) * rng.randint(1, 40), rng.randint(1, 40))
+            while padic_valuation(u, p):
+                u = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            return u * Fraction(p) ** k if k is not None else Fraction(0)
+
+        kinds = {"equal": 0, "unequal": 0}
+        for _ in range(200):
+            i, j = rng.choice([None, -2, -1, 0, 1, 2]), rng.choice([None, -2, -1, 0, 1, 2])
+            if rng.random() < 0.4:
+                j = i  # equal values, where cancellation can hide the leading digit
+            kinds["equal" if i == j else "unequal"] += 1
+            x = QuadElement(p, component(i), component(j))
+            assert field.valuation(x) == field._window(x, 1)[0], x
+            y = QuadElement(p, x.a + component(rng.randint(-2, 3)), x.b + component(rng.randint(-2, 3)))
+            assert field.sub_valuation(x, y) == field._window(x - y, 1)[0], (x, y)
+        assert min(kinds.values()) > 50
+
+    def test_window_skipped_on_unequal_values(self, monkeypatch):
+        field = QuadraticExtension(5)
+        x = QuadElement(5, Fraction(3, 25), Fraction(2))
+        monkeypatch.setattr(field, "_window_ints", None)
+        assert field.valuation(x) == -2
+        assert field.sub_valuation(x, QuadElement(5, Fraction(3, 25), Fraction(7))) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QuadElement(5, 0.1, 0),
+        lambda: QuadElement(5, 1, True),
+        lambda: FpPoly(5, (1.7, 1)),
+        lambda: FpPoly(5, (1, True)),
+        lambda: Approximation(0, (1.9,), 5),
+        lambda: Approximation(0, (False,), 5),
+    ],
+    ids=["quad-float", "quad-bool", "poly-float", "poly-bool", "digit-float", "digit-bool"],
+)
+def test_float_or_bool_component_rejected(build):
+    # a float would be truncated and a bool read as a number
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_index_types_still_accepted():
+    sympy = pytest.importorskip("sympy")
+    assert FpPoly(5, (sympy.Integer(7), 1)) == FpPoly(5, (2, 1))
+    assert QuadElement(5, sympy.Integer(3), 0) == QuadElement(5, Fraction(3), Fraction(0))
+    assert Approximation(0, (sympy.Integer(4),), 5).digits == (4,)
 
 
 class TestJson:

@@ -14,6 +14,7 @@ from hypertower.basefields import (
     padic_valuation,
 )
 from hypertower.cosets import (
+    GammaCoset,
     coset_eq,
     coset_mul,
     coset_neg,
@@ -380,6 +381,31 @@ class TestIterated:
                 assert left.verdict == right.verdict
 
 
+def _six_then_dedup(s):
+    """The spread built in full, all six perturbations included, then
+    deduplicated by coset_eq: the referee for member_candidates."""
+    if s.singleton is not None:
+        return [s.singleton]
+    f, g = s.field, s.level
+    built = [s.center] + ([coset_of(f, f.zero(), g)] if s.contains_zero else [])
+    for k in range(1, 4):
+        for i in range(2):
+            w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(i))
+            built.append(coset_of(f, f.add(s.center.rep, w), g))
+    out = []
+    for c in built:
+        if not any(coset_eq(c, seen) for seen in out):
+            out.append(c)
+    return out
+
+
+_CANDIDATE_FIELDS = [
+    PadicRationals(2), Q5, PadicRationals(7),
+    RationalFunctions(2), RationalFunctions(5), RationalFunctions(7),
+    QuadraticExtension(5), QuadraticExtension(7),
+]
+
+
 class TestMemberCandidates:
     def test_all_candidates_are_members(self):
         rng = random.Random(14)
@@ -387,6 +413,55 @@ class TestMemberCandidates:
             s = sample_hypersum(Q5, rng)
             for cand in member_candidates(s):
                 assert hypersum_contains(s, cand)
+
+    @pytest.mark.parametrize("field", _CANDIDATE_FIELDS, ids=lambda f: f"{f.kind}-{f.p}")
+    def test_matches_full_spread(self, field):
+        rng = random.Random(71 + field.p)
+        seen = Counter()
+        for _ in range(80):
+            g = rng.randint(0, 3)
+            x = field.random_nonzero(rng, 30)
+            kind = rng.choice(["free", "cancel", "zero"])
+            if kind == "free":
+                y = field.random_element(rng, 30)
+            elif kind == "cancel":
+                # -x plus a term j digits deeper: the sum cancels
+                j = rng.randint(0, g + 2)
+                bump = field.mul(field.unit_digit(rng.randrange(4)), field.uniformizer_pow(field.valuation(x) + j))
+                y = field.add(field.neg(x), bump)
+            else:
+                y = field.neg(x)
+            s = hyperadd(coset_of(field, x, g), coset_of(field, y, g))
+            got, want = member_candidates(s), _six_then_dedup(s)
+            assert [c.rep for c in got] == [c.rep for c in want], (x, y, g)
+            seen[len(got) > 1] += 1
+            seen["zero"] += s.singleton is None and s.center.is_zero()
+        assert seen[True] > 10 and seen[False] > 10 and seen["zero"] > 10
+
+    def test_zero_center_listed_once(self):
+        s = hyperadd(C(1, 1), C(-1, 1))
+        assert s.center.is_zero() and s.contains_zero
+        cands = member_candidates(s)
+        assert len(cands) == 7  # the zero class and six perturbations
+        for i, a in enumerate(cands):
+            assert not any(coset_eq(a, b) for b in cands[i + 1:])
+
+    @pytest.mark.parametrize("field", _CANDIDATE_FIELDS[1::3], ids=lambda f: f.kind)
+    def test_no_cancellation_builds_only_the_center(self, monkeypatch, field):
+        built = []
+        real = GammaCoset.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        x, y = field.one(), field.add(field.one(), field.one())
+        s = hyperadd(coset_of(field, x, 2), coset_of(field, y, 2))
+        assert not s.contains_zero
+        monkeypatch.setattr(GammaCoset, "__init__", counting)
+        cands = member_candidates(s)
+        assert built == []
+        assert cands == [s.center]
 
 
 class TestTwoRouteSuite:

@@ -15,6 +15,7 @@ from hypertower.basefields import (
 )
 from hypertower.cosets import coset_eq, coset_of
 from hypertower.tower import project
+from hypertower import limit
 from hypertower.limit import (
     CoherenceError,
     EqResult,
@@ -584,6 +585,19 @@ class TestSinglevalued:
         a = sigma_embed(E5.generator(), RF5)
         rep = check_singlevalued(a, from_field(Q5, 2), 12, rng, chains=4)
         assert rep.passed
+
+    def test_level_sums_shared_by_chains(self, monkeypatch):
+        calls = []
+        real = limit.hyperadd
+
+        def counting(a, b):
+            calls.append(a.level)
+            return real(a, b)
+
+        monkeypatch.setattr(limit, "hyperadd", counting)
+        rep = check_singlevalued(from_field(Q5, 1), from_field(Q5, 1), 12, random.Random(30), chains=4)
+        assert rep.passed and rep.samples == 4
+        assert calls == list(range(13))
 
     def test_degenerate_zero_operand(self):
         rng = random.Random(29)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index as _index, mul as _mul
+from operator import mul as _mul
 
-from .oag import INF
+from .oag import INF, _exact_index
 
 __all__ = [
     "Approximation",
@@ -114,13 +114,6 @@ def _exact_rational(c, what):
     if isinstance(c, str) and ("e" in c or "E" in c):
         raise ValueError(f"{what} must not use exponent notation, got {c!r}")
     return Fraction(c)
-
-
-def _exact_index(c, what):
-    """An int or an ``__index__`` type; a float or a bool is an error."""
-    if type(c) is not int and (isinstance(c, bool) or not hasattr(c, "__index__")):
-        raise ValueError(f"{what} must be an integer, got {c!r}")
-    return _index(c)
 
 
 def _int_coeffs(obj):

@@ -12,6 +12,7 @@ a singleton ``{min}`` when they differ and the closed up-interval
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index as _index
 
 __all__ = [
     "INF",
@@ -81,6 +82,13 @@ class Infinity:
 INF = Infinity()
 
 
+def _exact_index(c, what):
+    """An int or an ``__index__`` type; a float or a bool is an error."""
+    if type(c) is not int and (isinstance(c, bool) or not hasattr(c, "__index__")):
+        raise ValueError(f"{what} must be an integer, got {c!r}")
+    return _index(c)
+
+
 class GroupElement:
     """A point of Z^k under lexicographic order and coordinatewise addition.
 
@@ -92,9 +100,13 @@ class GroupElement:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        if isinstance(coords, int):
-            coords = (coords,)
-        coords = tuple(int(c) for c in coords)
+        coords = (coords,) if isinstance(coords, int) else tuple(coords)
+        # an int coordinate is the hot path; any other must be an exact
+        # integer, so a float, bool or string is an error, not truncated
+        for c in coords:
+            if type(c) is not int:
+                coords = tuple([_exact_index(c, "a coordinate") for c in coords])
+                break
         if not coords:
             raise ValueError("a group element needs arity >= 1")
         self.coords = coords

@@ -321,6 +321,22 @@ def test_lee_default_height_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LEE_DEFAULT_DIGEST
 
 
+# the same run at the two smaller primes, recorded before the exhaustive tier
+# shared its candidate sums by value across (p, level) configurations
+LEE_PRIME_DIGESTS = {
+    "2": "01c3f28eba601409aab8ce1245b7c056e93ab83f83912b7ea38e45e1b0d11665",
+    "3": "bedc0922c2996b58dbc48473261fcb8ec234aea9fa8364dafabcc5f0a25ce178",
+}
+
+
+@pytest.mark.parametrize("p", list(LEE_PRIME_DIGESTS))
+def test_lee_default_height_bytes_small_primes(capsys, p):
+    code, out, _ = invoke(capsys, "laws", "--suite", "lee", "--seed", "1", "--p", p)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == LEE_PRIME_DIGESTS[p]
+
+
 @pytest.mark.parametrize(
     "p,code",
     # a prime, a composite, and the bound of the certified range

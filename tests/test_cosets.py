@@ -510,7 +510,7 @@ class TestEachCheckPaidOnce:
         assert len(inverted) == sum((x != 0) + (y != 0) for x, y in spots)
 
     @pytest.mark.parametrize("p", [2, 5])
-    def test_each_candidate_class_built_once_per_unordered_pair(self, monkeypatch, p):
+    def test_each_distinct_candidate_class_built_once(self, monkeypatch, p):
         built = []
         real = suites.coset_of
 
@@ -521,11 +521,12 @@ class TestEachCheckPaidOnce:
         monkeypatch.setattr(suites, "coset_of", counting)
         rep = _exhaustive_only(p, 1, 4)
         assert rep.passed
-        # two operand classes per ordered pair, of which there are n*n - 1;
-        # the candidates are 2n per unordered pair of distinct operands and
-        # n for x == y, n*(n*n - 1) in all: half of one build per ordered pair
-        n = len(reduced_rationals(4))
-        assert len(built) == 2 * (n * n - 1) + n * (n * n - 1)
+        # two operand classes per ordered pair, of which there are n*n - 1,
+        # and one candidate class per distinct value of x + y*u
+        small = reduced_rationals(4)
+        n = len(small)
+        distinct = {x + y * u for x in small for y in small for u in small}
+        assert len(built) == 2 * (n * n - 1) + len(distinct) == 1613
 
 
 # -- the lee suite's exhaustive tier against its row-major form -------------
@@ -589,6 +590,40 @@ def _track_pair(monkeypatch):
 
     monkeypatch.setattr(suites, "_descriptor_checks", checks)
     return pair
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize("bound", range(6))
+    def test_rows_resolve_to_the_sums(self, bound):
+        small = reduced_rationals(bound)
+        n = len(small)
+        sums, rows = suites._candidate_table(bound)
+        assert len(set(sums)) == len(sums)
+        assert len(rows) == n * n
+        for i, x in enumerate(small):
+            for j, y in enumerate(small):
+                assert [sums[k] for k in rows[i * n + j]] == [x + y * u for u in small]
+
+    def test_built_once_for_every_config_of_a_bound(self, monkeypatch):
+        # the lee-membership configs: every class reaching the route under
+        # test carries its own config's field and level
+        seen = []
+        real = suites.hypersum_contains
+
+        def recording(s, c):
+            seen.append((c.field.p, c.level, c.field is s.field))
+            return real(s, c)
+
+        monkeypatch.setattr(suites, "hypersum_contains", recording)
+        suites._candidate_table.cache_clear()
+        for p in (2, 3, 5):
+            for gamma in (0, 1, 2):
+                seen.clear()
+                rep = _exhaustive_only(p, gamma, 3)
+                assert rep.passed
+                assert seen and set(seen) == {(p, gamma, True)}
+        info = suites._candidate_table.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
 
 
 class TestExhaustiveTier:

@@ -55,6 +55,22 @@ class TestGroupOps:
         assert 3 < GroupElement(5)
         assert hash(GroupElement(3)) == hash(3)
 
+    @pytest.mark.parametrize("coords", [(1.7,), (1.7, True), (True,), True, ("3",), "3", (2, 3.0)])
+    def test_inexact_coordinate_rejected(self, coords):
+        # a float is not truncated, and a bool or a string is not a number
+        with pytest.raises(ValueError):
+            GroupElement(coords)
+
+    def test_index_coordinate_accepted(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        e = GroupElement((Three(), -2))
+        assert e == g2(3, -2)
+        assert all(type(c) is int for c in e.coords)
+        assert GroupElement((Three(),)) == 3
+
 
 class TestTropical:
     def test_distinct_values(self):

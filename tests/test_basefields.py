@@ -737,3 +737,123 @@ class TestJson:
         assert make_field("function-field", 5) == F5T
         with pytest.raises(ValueError):
             make_field("rational", 6)
+
+
+# referees for the field constants: each builds the element
+# p^shift * sum(digits[i] * p^i) (t in place of p for F_p(t)) directly from
+# Fraction, QuadElement or RatFunc(FpPoly(...), FpPoly(...))
+def _resum(p, shift, digits):
+    return sum((d * Fraction(p) ** (shift + i) for i, d in enumerate(digits)), Fraction(0))
+
+
+def _direct_rational(p, shift, digits):
+    return _resum(p, shift, digits)
+
+
+def _direct_quadratic(p, shift, digits):
+    return QuadElement(p, _resum(p, shift, digits), Fraction(0))
+
+
+def _direct_laurent(p, shift, digits):
+    num = FpPoly(p, (0,) * max(shift, 0) + tuple(digits))
+    den = FpPoly(p, (0,) * max(-shift, 0) + (1,))
+    return RatFunc(num, den)
+
+
+_HELPER_FIELDS = (
+    [(PadicRationals(p), _direct_rational) for p in (2, 3, 5, 7)]
+    + [(RationalFunctions(p), _direct_laurent) for p in (2, 3, 5)]
+    + [(QuadraticExtension(p), _direct_quadratic) for p in (5, 7)]
+)
+
+
+class TestFieldHelpers:
+    @pytest.mark.parametrize(
+        "field, direct", _HELPER_FIELDS, ids=[f"{f.kind}-{f.p}" for f, _ in _HELPER_FIELDS]
+    )
+    def test_constants_match_direct_construction(self, field, direct):
+        p = field.p
+        assert field.zero() == direct(p, 0, ())
+        assert field.one() == direct(p, 0, (1,))
+        assert field.is_zero(field.zero()) and not field.is_zero(field.one())
+        for i in range(10):
+            assert field.unit_digit(i) == direct(p, 0, (1 + i % (p - 1),)), i
+        for k in range(-4, 5):
+            assert field.uniformizer_pow(k) == direct(p, k, (1,)), k
+        rng = random.Random(p)
+        for shift in range(-3, 4):
+            for length in range(0, 6):
+                digits = tuple(rng.randrange(p) for _ in range(length))
+                if length and rng.random() < 0.3:
+                    digits = (0,) + digits[1:]  # a leading zero digit
+                appr = Approximation(shift, digits, p)
+                assert field.from_approximation(appr) == direct(p, shift, digits), appr
+            assert field.from_approximation(Approximation(shift, (0, 0), p)) == field.zero()
+        for _ in range(20):
+            x = field.random_nonzero(rng)
+            assert field.mul(x, field.inv(x)) == field.one()
+
+    def test_rational_constants_are_fractions(self):
+        for x in (Q5.zero(), Q5.one(), Q5.unit_digit(3), Q5.uniformizer_pow(-2),
+                  Q5.from_approximation(Approximation(-1, (1, 2), 5))):
+            assert type(x) is Fraction
+
+
+def _series_referee(num, den, p, n):
+    """(shift, first n Laurent coefficients) of num / den at t = 0, from
+    plain little-endian coefficient lists by power-series long division."""
+    num = [c % p for c in num]
+    den = [c % p for c in den]
+    if not any(num):
+        return 0, [0] * n
+    on = next(i for i, c in enumerate(num) if c)
+    od = next(i for i, c in enumerate(den) if c)
+    rem = num[on:] + [0] * n
+    den = den[od:]
+    inv0 = pow(den[0], -1, p)
+    out = []
+    for k in range(n):
+        q = rem[k] * inv0 % p
+        out.append(q)
+        for j, d in enumerate(den):
+            if k + j < len(rem):
+                rem[k + j] = (rem[k + j] - q * d) % p
+    return on - od, out
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+class TestFunctionFieldTuples:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_expand_matches_series_division(self, p):
+        field = RationalFunctions(p)
+        rng = random.Random(100 + p)
+        for _ in range(150):
+            num = [0] * rng.randint(0, 4) + [rng.randrange(p) for _ in range(rng.randint(0, 5))]
+            den = [0] * rng.randint(0, 4) + [rng.randrange(p) for _ in range(rng.randint(1, 5))]
+            if not any(c % p for c in den):
+                den.append(1)
+            x = RatFunc(FpPoly(p, num), FpPoly(p, den))
+            for n in range(1, 13):
+                shift, coeffs = _series_referee(num, den, p, n)
+                assert field.expand(x, n) == Approximation(shift, tuple(coeffs), p), (num, den, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_poly_sub_and_neg_match_coefficientwise(self, p):
+        rng = random.Random(200 + p)
+        for _ in range(300):
+            a = [rng.randint(-2 * p, 2 * p) for _ in range(rng.randint(0, 6))]
+            b = [rng.randint(-2 * p, 2 * p) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.2:
+                b = list(a)  # a - a cancels to the zero polynomial
+            width = max(len(a), len(b))
+            pa, pb = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+            want = _trimmed((x - y) % p for x, y in zip(pa, pb))
+            diff = FpPoly(p, a) - FpPoly(p, b)
+            assert diff.coeffs == want and diff.p == p
+            assert (-FpPoly(p, a)).coeffs == _trimmed(-x % p for x in a)

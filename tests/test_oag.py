@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -195,3 +197,61 @@ def test_json_rank2():
     assert as_value([1, -2], arity=2) == g2(1, -2)
     assert value_to_json(INF) == "inf"
     assert as_value("inf") is INF
+
+
+def _order_key(v):
+    """Referee for the value order: INF above every finite value, finite
+    values lexicographic in their coordinates."""
+    if v is INF:
+        return (1,)
+    return (0, (v,) if isinstance(v, int) else v.coords)
+
+
+_ORDER_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_ORDER_OPS))
+def test_order_operators_match_key(op):
+    # every operator, on every ordered pair of ints, arity-1 elements
+    # and INF mixed freely, then arity-2 elements among themselves
+    compare = _ORDER_OPS[op]
+    arity1 = list(range(-2, 3)) + [GroupElement((k,)) for k in range(-2, 3)] + [INF]
+    arity2 = [g2(a, b) for a in range(-1, 2) for b in range(-1, 2)] + [INF]
+    for pool in (arity1, arity2):
+        for a in pool:
+            for b in pool:
+                if isinstance(a, int) and isinstance(b, int):
+                    continue
+                assert compare(a, b) is compare(_order_key(a), _order_key(b)), (a, op, b)
+
+
+def test_order_operator_errors():
+    ops = [op for name, op in _ORDER_OPS.items() if name not in ("==", "!=")]
+    for op in ops:
+        # mixing arities is an error, never an answer
+        with pytest.raises(ValueError):
+            op(g2(1, 2), GroupElement(3))
+        with pytest.raises(ValueError):
+            op(GroupElement(3), g2(1, 2))
+        with pytest.raises(ValueError):
+            op(g2(1, 2), 3)
+        with pytest.raises(ValueError):
+            op(3, g2(1, 2))
+        # a float or a str has no place in the order
+        for v in (GroupElement(3), g2(1, 2), INF):
+            for other in (1.5, "3"):
+                with pytest.raises(TypeError):
+                    op(v, other)
+                with pytest.raises(TypeError):
+                    op(other, v)
+    for v in (GroupElement(3), g2(1, 2), INF):
+        for other in (3.0, 1.5, "3"):
+            assert (v == other) is False and (other == v) is False
+            assert (v != other) is True and (other != v) is True

@@ -200,29 +200,12 @@ class FpPoly:
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def order(self):
         """Index of the lowest nonzero coefficient; None for zero."""
         for i, c in enumerate(self.coeffs):
             if c:
                 return i
         return None
-
-    def shift(self, k):
-        """Multiply by t^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return FpPoly(self.p, (0,) * k + self.coeffs)
-
-    def unshift(self, k):
-        """Divide exactly by t^k."""
-        if any(self.coeff(i) for i in range(k)):
-            raise ValueError("not divisible by t^%d" % k)
-        return FpPoly(self.p, self.coeffs[k:])
 
     def __add__(self, other):
         a, b, p = self.coeffs, other.coeffs, self.p
@@ -234,11 +217,11 @@ class FpPoly:
         return FpPoly._reduced(p, tuple(cs))
 
     def __neg__(self):
-        return FpPoly(self.p, [-c for c in self.coeffs])
+        p = self.p
+        return FpPoly._reduced(p, tuple([-c % p for c in self.coeffs]))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPoly(self.p, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + (-other)
 
     def __mul__(self, other):
         return FpPoly._reduced(self.p, _poly_mul(self.coeffs, other.coeffs, self.p))
@@ -392,8 +375,7 @@ class RatFunc:
         return RatFunc(num, den)
 
     def __neg__(self):
-        p = self.p
-        return RatFunc._normal(p, tuple([-c % p for c in self.num.coeffs]), self.den.coeffs)
+        return RatFunc._normal(self.p, (-self.num).coeffs, self.den.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -411,9 +393,6 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         return RatFunc._normal(self.p, *_monic(self.p, self.den.coeffs, self.num.coeffs))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def __eq__(self, other):
         return (
@@ -488,7 +467,27 @@ class QuadElement:
 
 
 class ValuedField:
-    """Shared plumbing for the supported exact valued fields."""
+    """Shared plumbing for the supported exact valued fields.
+
+    A field class defines ``kind`` and these methods:
+
+    * ``check(x)`` -- x as an element of the field: its own elements pass,
+      an int (and a ``Fraction`` where the field contains Q) converts,
+      anything else is a ``ValueError``;
+    * ``element(obj)`` -- the parser for JSON input;
+    * ``valuation(x)``, ``sub_valuation(x, y)`` -- v(x) and v(x - y);
+    * ``expand(x, n)`` -- the first n digits of x as an ``Approximation``;
+    * ``random_element(rng, height)`` and ``to_json(x)``.
+
+    Everything else is written here once, through ``check`` and the
+    element type's own ``+``, ``-``, ``*``, ``is_zero`` and ``inverse``:
+    ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``is_zero``, the constants
+    ``zero``, ``one``, ``unit_digit`` and ``uniformizer_pow``,
+    ``from_approximation``, ``random_nonzero`` and ``descriptor``.
+    ``PadicRationals`` overrides ``is_zero`` and ``inv``, as a ``Fraction``
+    has neither method; ``RationalFunctions`` overrides ``uniformizer_pow``
+    and ``from_approximation``, as its uniformizer is t, not p.
+    """
 
     kind = None
 
@@ -527,6 +526,25 @@ class ValuedField:
     def mul(self, x, y):
         return self.check(x) * self.check(y)
 
+    def inv(self, x):
+        return self.check(x).inverse()
+
+    def is_zero(self, x):
+        return self.check(x).is_zero()
+
+    def zero(self):
+        return self.check(0)
+
+    def one(self):
+        return self.check(1)
+
+    def unit_digit(self, i):
+        """The unit 1 + (i mod (p - 1)): a nonzero digit for every i."""
+        return self.check(1 + i % (self.p - 1))
+
+    def uniformizer_pow(self, k):
+        return self.check(Fraction(self.p) ** k)
+
     def descriptor(self):
         return {"kind": self.kind, "p": self.p}
 
@@ -536,15 +554,15 @@ class ValuedField:
             if not self.is_zero(x):
                 return x
 
-    def _resum(self, appr):
-        """The rational p^shift * sum(digits[i] * p^i) of a digit window."""
+    def from_approximation(self, appr):
+        """The element p^shift * sum(digits[i] * p^i) of a digit window."""
         if appr.p != self.p:
             raise ValueError("approximation base mismatch")
         total = Fraction(0)
         for i, d in enumerate(appr.digits):
             if d:
                 total += d * Fraction(self.p) ** (appr.shift + i)
-        return total
+        return self.check(total)
 
 
 class PadicRationals(ValuedField):
@@ -572,12 +590,6 @@ class PadicRationals(ValuedField):
             num, den = (_exact_int(c, "rational component") for c in obj)
             return Fraction(num, den)
         raise ValueError(f"cannot parse rational element from {obj!r}")
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
 
     def is_zero(self, x):
         return not self.check(x)
@@ -609,14 +621,6 @@ class PadicRationals(ValuedField):
             v -= int_valuation(yd, p)
         return v
 
-    def uniformizer_pow(self, k):
-        return Fraction(self.p) ** k
-
-    def unit_digit(self, i):
-        if self.p == 2:
-            return Fraction(1)
-        return Fraction(1 + i % (self.p - 1))
-
     def expand(self, x, n):
         """First n base-p digits of x, starting at its valuation.
 
@@ -633,9 +637,6 @@ class PadicRationals(ValuedField):
         m = self.p ** n
         val = u.numerator * pow(u.denominator, -1, m) % m
         return Approximation(e, _digits_of(val, self.p, n), self.p)
-
-    def from_approximation(self, appr):
-        return self._resum(appr)
 
     def random_element(self, rng, height=50):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
@@ -674,18 +675,6 @@ class RationalFunctions(ValuedField):
     def poly(self, *coeffs):
         return RatFunc(FpPoly(self.p, coeffs))
 
-    def zero(self):
-        return RatFunc(FpPoly(self.p))
-
-    def one(self):
-        return RatFunc(FpPoly.constant(self.p, 1))
-
-    def is_zero(self, x):
-        return self.check(x).is_zero()
-
-    def inv(self, x):
-        return self.check(x).inverse()
-
     def valuation(self, x):
         return self.check(x).t_order()
 
@@ -710,15 +699,16 @@ class RationalFunctions(ValuedField):
                 return k - x.den.order() - y.den.order()
         return INF
 
-    def uniformizer_pow(self, k):
-        t = FpPoly.t_power(self.p, abs(k))
-        one = FpPoly.constant(self.p, 1)
-        return RatFunc(t, one) if k >= 0 else RatFunc(one, t)
+    def _t_times(self, e, unit):
+        """unit * t^e, for a trimmed coefficient tuple with a nonzero
+        constant term: t^e and unit are coprime, so this is the normal form."""
+        t = (0,) * abs(e)
+        if e >= 0:
+            return RatFunc._normal(self.p, t + unit, (1,))
+        return RatFunc._normal(self.p, unit, t + (1,))
 
-    def unit_digit(self, i):
-        if self.p == 2:
-            return self.one()
-        return RatFunc(FpPoly.constant(self.p, 1 + i % (self.p - 1)))
+    def uniformizer_pow(self, k):
+        return self._t_times(k, (1,))
 
     def expand(self, x, n):
         """First n Laurent coefficients of x at t = 0."""
@@ -728,25 +718,25 @@ class RationalFunctions(ValuedField):
         if x.is_zero():
             return Approximation(0, (0,) * n, self.p)
         on, od = x.num.order(), x.den.order()
-        nn, dd = x.num.unshift(on), x.den.unshift(od)
-        inv0 = pow(dd.coeff(0), -1, self.p)
+        nn, dd = x.num.coeffs[on:on + n], x.den.coeffs[od:]
+        nn += (0,) * (n - len(nn))
+        inv0 = pow(dd[0], -1, self.p)
         coeffs = []
         for k in range(n):
-            acc = nn.coeff(k)
-            for j in range(1, min(k, dd.degree) + 1):
-                acc -= dd.coeff(j) * coeffs[k - j]
+            acc = nn[k]
+            for j in range(1, min(k, len(dd) - 1) + 1):
+                acc -= dd[j] * coeffs[k - j]
             coeffs.append(acc * inv0 % self.p)
         return Approximation(on - od, tuple(coeffs), self.p)
 
     def from_approximation(self, appr):
         if appr.p != self.p:
             raise ValueError("approximation base mismatch")
-        window = FpPoly(self.p, appr.digits)
-        if window.is_zero():
+        nonzero = [i for i, d in enumerate(appr.digits) if d]
+        if not nonzero:
             return self.zero()
-        if appr.shift >= 0:
-            return RatFunc(window.shift(appr.shift))
-        return RatFunc(window, FpPoly.t_power(self.p, -appr.shift))
+        lo, hi = nonzero[0], nonzero[-1]
+        return self._t_times(appr.shift + lo, appr.digits[lo:hi + 1])
 
     def random_element(self, rng, height=50, degree=3):
         num = FpPoly(self.p, [rng.randrange(self.p) for _ in range(degree + 1)])
@@ -801,18 +791,6 @@ class QuadraticExtension(ValuedField):
 
     def generator(self):
         return QuadElement(self.p, Fraction(0), Fraction(1))
-
-    def zero(self):
-        return QuadElement(self.p, Fraction(0), Fraction(0))
-
-    def one(self):
-        return QuadElement(self.p, Fraction(1), Fraction(0))
-
-    def is_zero(self, x):
-        return self.check(x).is_zero()
-
-    def inv(self, x):
-        return self.check(x).inverse()
 
     def root_mod(self, k):
         """The embedded square root of 1 + p modulo p^k (congruent to 1 mod p)."""
@@ -919,15 +897,6 @@ class QuadraticExtension(ValuedField):
             return Fraction(unit * self.p ** v)
         return Fraction(unit, self.p ** -v)
 
-    def from_approximation(self, appr):
-        return QuadElement(self.p, self._resum(appr), Fraction(0))
-
-    def uniformizer_pow(self, k):
-        return QuadElement(self.p, Fraction(self.p) ** k, Fraction(0))
-
-    def unit_digit(self, i):
-        return QuadElement(self.p, Fraction(1 + i % (self.p - 1)), Fraction(0))
-
     def random_element(self, rng, height=50):
         return QuadElement(
             self.p,
@@ -941,7 +910,7 @@ class QuadraticExtension(ValuedField):
 
 
 def make_field(kind, p):
-    if kind in ("rational", "rational-p-adic"):
+    if kind == "rational":
         return PadicRationals(p)
     if kind in ("function", "function-field"):
         return RationalFunctions(p)

@@ -538,7 +538,7 @@ def check_singlevalued(a, b, n, rng, chains=8):
             base_rep = total.at(level).rep if vs is not INF else field.zero()
             return coset_of(field, field.add(base_rep, bump), level)
 
-        choice = from_cosets(field, gen, known_valuation=None)
+        choice = from_cosets(field, gen)
         coherent = True
         member_ok = True
         for level in range(n + 1):

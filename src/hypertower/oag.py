@@ -7,11 +7,14 @@ lexicographically; arity 1 behaves like plain integers and mixes with
 comparison and swallows every sum.  The multivalued sum of two values is
 a singleton ``{min}`` when they differ and the closed up-interval
 ``[v, INF]`` when they coincide; it is never enumerated, only described.
+``Infinity`` and ``GroupElement`` write only ``==`` and ``<``;
+``functools.total_ordering`` derives ``<=``, ``>`` and ``>=``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from operator import index as _index
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
 ]
 
 
+@total_ordering
 class Infinity:
     """The absorbing maximum adjoined to every value group."""
 
@@ -45,30 +49,12 @@ class Infinity:
     def __eq__(self, other):
         return other is self
 
-    def __ne__(self, other):
-        return other is not self
-
     def __hash__(self):
         return hash("hypertower.INF")
 
     def __lt__(self, other):
         if isinstance(other, (Infinity, GroupElement, int)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (Infinity, GroupElement, int)):
-            return other is self
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (Infinity, GroupElement, int)):
-            return other is not self
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (Infinity, GroupElement, int)):
-            return True
         return NotImplemented
 
     def __add__(self, other):
@@ -89,6 +75,7 @@ def _exact_index(c, what):
     return _index(c)
 
 
+@total_ordering
 class GroupElement:
     """A point of Z^k under lexicographic order and coordinatewise addition.
 
@@ -140,14 +127,6 @@ class GroupElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if other is INF:
-            raise ValueError("the top element has no additive inverse")
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GroupElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __eq__(self, other):
         if other is INF:
             return False
@@ -169,30 +148,6 @@ class GroupElement:
         if other is None:
             return NotImplemented
         return self.coords < other.coords
-
-    def __le__(self, other):
-        if other is INF:
-            return True
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coords <= other.coords
-
-    def __gt__(self, other):
-        if other is INF:
-            return False
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coords > other.coords
-
-    def __ge__(self, other):
-        if other is INF:
-            return False
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coords >= other.coords
 
     def __repr__(self):
         if len(self.coords) == 1:
@@ -219,16 +174,7 @@ def group_add(a, b):
 def group_cmp(a, b):
     """Total-order comparison: -1, 0 or 1 as ``a`` is below, equal, above."""
     a, b = _wrap(a), _wrap(b)
-    if a is INF:
-        return 0 if b is INF else 1
-    if b is INF:
-        return -1
-    rhs = a._coerce(b)
-    if a.coords < rhs.coords:
-        return -1
-    if a.coords > rhs.coords:
-        return 1
-    return 0
+    return (b < a) - (a < b)
 
 
 @dataclass(frozen=True)
@@ -273,16 +219,10 @@ def trop_hyperadd(a, b):
     The top element is neutral: v (+) INF = {v}.
     """
     a, b = _wrap(a), _wrap(b)
-    if a is INF and b is INF:
-        return TropSet.singleton(INF)
-    if a is INF:
-        return TropSet.singleton(b)
-    if b is INF:
-        return TropSet.singleton(a)
     c = group_cmp(a, b)
-    if c == 0:
+    if c == 0 and a is not INF:
         return TropSet.up_interval(a)
-    return TropSet.singleton(a if c < 0 else b)
+    return TropSet.singleton(b if c > 0 else a)
 
 
 def trop_member(c, s):
@@ -290,8 +230,6 @@ def trop_member(c, s):
     c = _wrap(c)
     if s.kind == "singleton":
         return group_cmp(c, s.value) == 0
-    if c is INF:
-        return True
     rel = group_cmp(c, s.value)
     return rel > 0 or (rel == 0 and not s.open_lower)
 

@@ -746,10 +746,6 @@ def _resum(p, shift, digits):
     return sum((d * Fraction(p) ** (shift + i) for i, d in enumerate(digits)), Fraction(0))
 
 
-def _direct_rational(p, shift, digits):
-    return _resum(p, shift, digits)
-
-
 def _direct_quadratic(p, shift, digits):
     return QuadElement(p, _resum(p, shift, digits), Fraction(0))
 
@@ -761,7 +757,7 @@ def _direct_laurent(p, shift, digits):
 
 
 _HELPER_FIELDS = (
-    [(PadicRationals(p), _direct_rational) for p in (2, 3, 5, 7)]
+    [(PadicRationals(p), _resum) for p in (2, 3, 5, 7)]
     + [(RationalFunctions(p), _direct_laurent) for p in (2, 3, 5)]
     + [(QuadraticExtension(p), _direct_quadratic) for p in (5, 7)]
 )

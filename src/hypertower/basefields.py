@@ -30,7 +30,6 @@ __all__ = [
     "PadicRationals",
     "RationalFunctions",
     "QuadraticExtension",
-    "hensel_sqrt",
     "make_field",
 ]
 
@@ -265,45 +264,35 @@ def _poly_mul(a, b, p):
     return tuple([c % p for c in out])
 
 
-def _poly_rem(a, b, p):
-    """Remainder of a by b over GF(p), both as reduced, trimmed tuples (b nonzero).
+def _poly_div(a, b, p, quotient=False):
+    """Long division of a by b over GF(p), both reduced, trimmed tuples (b
+    nonzero): the remainder, or with ``quotient`` the quotient.
 
     Only the leading coefficient is reduced inside the loop; the
-    remainder is reduced and trimmed once at the end.
+    remainder is reduced and trimmed once at the end.  The quotient is
+    recorded only when asked for, so Euclid builds no quotient.
     """
     db = len(b) - 1
     if len(a) <= db:
-        return a
+        return () if quotient else a
     a = list(a)
     inv = pow(b[-1], -1, p)
+    q = [0] * (len(a) - db) if quotient else None
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % p
         if c:
             f = c * inv % p
             off = i - db
+            if quotient:
+                q[off] = f
             for j in range(db):
                 a[off + j] -= f * b[j]
+    if quotient:
+        return tuple(q)
     r = [c % p for c in a[:db]]
     while r and r[-1] == 0:
         r.pop()
     return tuple(r)
-
-
-def _poly_exact_div(a, b, p):
-    """Quotient of a by a divisor b over GF(p), as a reduced, trimmed tuple."""
-    db = len(b) - 1
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            f = c * inv % p
-            q[i - db] = f
-            off = i - db
-            for j in range(db):
-                a[off + j] -= f * b[j]
-    return tuple(q)
 
 
 def _cancel(a, b, p):
@@ -311,12 +300,12 @@ def _cancel(a, b, p):
     they are when either is a nonzero constant."""
     if len(a) == 1 or len(b) == 1:
         return a, b
-    g, r = b, _poly_rem(a, b, p)
+    g, r = b, _poly_div(a, b, p)
     while r:
-        g, r = r, _poly_rem(g, r, p)
+        g, r = r, _poly_div(g, r, p)
     if len(g) == 1:
         return a, b
-    return _poly_exact_div(a, g, p), _poly_exact_div(b, g, p)
+    return _poly_div(a, g, p, quotient=True), _poly_div(b, g, p, quotient=True)
 
 
 def _monic(p, n, d):
@@ -917,36 +906,4 @@ def make_field(kind, p):
     if kind == "quadratic":
         return QuadraticExtension(p)
     raise ValueError(f"unknown field kind: {kind!r}")
-
-
-def hensel_sqrt(p, c, seed, n):
-    """Digits of the square root of a p-adic unit square, lifted mod p^n.
-
-    The seed must be a simple root of X^2 = c modulo p; the returned
-    window is the unique lift congruent to the seed, verified by squaring.
-    """
-    if p == 2:
-        raise ValueError("lifting a square root needs an odd prime")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    c = Fraction(c)
-    if padic_valuation(c, p) != 0:
-        raise ValueError("c must be a p-adic unit")
-    modulus = p ** n
-    cmod = c.numerator * pow(c.denominator, -1, modulus) % modulus
-    seed = seed % p
-    if (seed * seed - cmod) % p != 0:
-        raise ValueError(f"{seed} is not a square root of c modulo {p}")
-    if (2 * seed) % p == 0:
-        raise ValueError("the seed is not a simple root")
-    x, have = seed, 1
-    while have < n:
-        have = min(2 * have, n)
-        m = p ** have
-        x = (x + cmod * pow(x, -1, m)) * pow(2, -1, m) % m
-    if (x * x - cmod) % modulus != 0:
-        raise AssertionError("lift failed to verify")
-    return Approximation(0, _digits_of(x, p, n), p)
 

@@ -7,13 +7,15 @@ keeps the valuation of its representatives.  Addition of classes is
 multivalued; instead of enumerating the infinite answer we carry a finite
 descriptor: the class of the plain sum as center, the radius
 g + min(vx, vy), and a flag recording whether the zero class belongs.
-Membership, value sets and bounded certificates for iterated sums are
-all decided from the descriptor.
+Membership and value sets are decided from the descriptor; so is
+membership in an iterated sum, which is again one ball, with a witness
+chain for every member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .oag import INF, TropSet
 
@@ -124,7 +126,7 @@ def coset_value(a):
 
 @dataclass(frozen=True)
 class HyperSum:
-    """Descriptor of the multivalued sum of two classes.
+    """Descriptor of the multivalued sum of two (or more) classes.
 
     When ``singleton`` is set (one operand was the zero class) the sum is
     exactly that class.  Otherwise it is the open ball of classes around
@@ -189,9 +191,9 @@ def hypersum_value_set(s):
 
 @dataclass(frozen=True)
 class IteratedResult:
-    """Outcome of the bounded membership search for an iterated sum."""
+    """Verdict of ``iterated_contains``; a member carries its witness chain."""
 
-    verdict: str  # "member" | "non_member" | "unknown"
+    verdict: str  # "member" | "non_member"
     chain: tuple = None
 
 
@@ -219,70 +221,28 @@ def member_candidates(s):
     return out
 
 
-def _chain_search(summands, target, budget):
-    """Backward search for a witness chain, exact at every binary step.
-
-    Membership in a left-folded sum is peeled one summand at a time:
-    the target belongs to fold(x0..xk) exactly when some member z of
-    target (+) (-xk) belongs to fold(x0..x(k-1)); candidate z's are drawn
-    from the descriptor and each link is checked with the exact binary
-    predicate, so any chain found is a certificate.
-    """
-    if len(summands) == 2:
-        if hypersum_contains(hyperadd(summands[0], summands[1]), target):
-            return []
-        return None
-    ball = hyperadd(target, coset_neg(summands[-1]))
-    for z in member_candidates(ball):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        sub = _chain_search(summands[:-1], z, budget)
-        if sub is not None:
-            return sub + [z]
-    return None
-
-
-def iterated_contains(summands, c, search_bound=64):
-    """Three-valued membership of a class in an iterated multivalued sum.
-
-    Member comes with a witness chain; NonMember is only concluded from
-    the exact necessary bound available when every summand lies in the
-    valuation ring; everything else is Unknown.  The iterated sum itself
-    is never materialized.
-    """
+def iterated_contains(summands, c):
+    """Exact membership of a class in [x_1] + .. + [x_n]: the classes
+    meeting S + pi^R * O, S the plain sum and R = g + 1 + min v(x_i) over
+    nonzero x_i, the binary descriptor of radius R - 1.  A member's chain
+    shifts a least-valued x_i by c - S (in its class, as v(c - S) >= R)
+    and lists the partial sums of 2 .. n - 1 summands."""
     summands = list(summands)
     if len(summands) < 2:
         raise ValueError("need at least 2 summands")
     field, level = summands[0].field, summands[0].level
-    for s in summands[1:]:
+    for s in summands[1:] + [c]:
         _same_world(summands[0], s)
-    _same_world(summands[0], c)
-
     if all(s.is_zero() for s in summands):
         verdict = "member" if c.is_zero() else "non_member"
         return IteratedResult(verdict, () if c.is_zero() else None)
 
-    total = field.zero()
-    partials = []
-    for s in summands:
-        total = field.add(total, s.rep)
-        partials.append(GammaCoset(field, level, total))
-
-    # the full sum always belongs, with the partial sums as its chain
-    if coset_eq(partials[-1], c):
-        return IteratedResult("member", tuple(partials[1:-1]))
-
-    in_ring = all(
-        s.is_zero() or s.value() >= 0 for s in summands
-    )
-    if in_ring:
-        gap = field.sub_valuation(total, c.rep)
-        if not gap > level:
-            return IteratedResult("non_member")
-
-    budget = [max(1, int(search_bound))]
-    chain = _chain_search(summands, c, budget)
-    if chain is not None:
-        return IteratedResult("member", tuple(chain))
-    return IteratedResult("unknown")
+    reps = [s.rep for s in summands]
+    total = list(accumulate(reps, field.add))[-1]
+    least, low = min((s.value(), i) for i, s in enumerate(summands) if not s.is_zero())
+    center, radius = GammaCoset(field, level, total), level + least
+    if not hypersum_contains(HyperSum(field, level, center, radius, center.value() > radius), c):
+        return IteratedResult("non_member")
+    reps[low] = field.add(reps[low], field.sub(c.rep, total))
+    sums = list(accumulate(reps[:-1], field.add))[1:]
+    return IteratedResult("member", tuple(GammaCoset(field, level, x) for x in sums))

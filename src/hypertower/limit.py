@@ -233,9 +233,6 @@ class CoherentElement:
                 return v
         raise PrecisionError(f"no nonzero class within probe bound {ZERO_PROBE}")
 
-    def is_zero_within_probe(self):
-        return _value_or_inf(self) is INF
-
     def to_json(self, levels=4):
         # a provenance element is rendered here, not when the element is
         # built: a resummed digit window can hold integers past Python's

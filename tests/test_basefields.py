@@ -15,12 +15,11 @@ from hypertower.basefields import (
     QuadraticExtension,
     RatFunc,
     RationalFunctions,
-    hensel_sqrt,
     int_valuation,
     padic_valuation,
+    _digits_of,
     _is_prime,
-    _poly_exact_div,
-    _poly_rem,
+    _poly_div,
     make_field,
 )
 from hypertower import basefields
@@ -322,6 +321,40 @@ class TestExpand:
             Q5.expand(1, 0)
 
 
+def hensel_sqrt(p, c, seed, n):
+    """Digits of the square root of a p-adic unit square, lifted mod p^n:
+    the referee for ``QuadraticExtension.root_mod``, through the expansion
+    of the generator.
+
+    The seed must be a simple root of X^2 = c modulo p; the returned
+    window is the unique lift congruent to the seed, verified by squaring.
+    """
+    if p == 2:
+        raise ValueError("lifting a square root needs an odd prime")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    c = Fraction(c)
+    if padic_valuation(c, p) != 0:
+        raise ValueError("c must be a p-adic unit")
+    modulus = p ** n
+    cmod = c.numerator * pow(c.denominator, -1, modulus) % modulus
+    seed = seed % p
+    if (seed * seed - cmod) % p != 0:
+        raise ValueError(f"{seed} is not a square root of c modulo {p}")
+    if (2 * seed) % p == 0:
+        raise ValueError("the seed is not a simple root")
+    x, have = seed, 1
+    while have < n:
+        have = min(2 * have, n)
+        m = p ** have
+        x = (x + cmod * pow(x, -1, m)) * pow(2, -1, m) % m
+    if (x * x - cmod) % modulus != 0:
+        raise AssertionError("lift failed to verify")
+    return Approximation(0, _digits_of(x, p, n), p)
+
+
 class TestHensel:
     def test_root_of_six_seed_one(self):
         assert hensel_sqrt(5, 6, 1, 3) == Approximation(0, (1, 3, 0), 5)
@@ -426,14 +459,15 @@ class TestPrimality:
 
 
 class TestPolyAlgebra:
-    """Division over GF(p)[t] as RatFunc normalizes: ``_poly_rem`` gives
-    the remainder and ``_poly_exact_div`` the quotient by a divisor."""
+    """Division over GF(p)[t] as RatFunc normalizes: ``_poly_div`` gives
+    the remainder, or with ``quotient`` the quotient."""
 
     def test_divmod(self):
         a = FpPoly(5, (1, 0, 1))  # 1 + t^2
         b = FpPoly(5, (1, 1))     # 1 + t
-        r = _poly_rem(a.coeffs, b.coeffs, 5)
-        q = _poly_exact_div((a - FpPoly(5, r)).coeffs, b.coeffs, 5)
+        r = _poly_div(a.coeffs, b.coeffs, 5)
+        q = _poly_div(a.coeffs, b.coeffs, 5, quotient=True)
+        assert q == _poly_div((a - FpPoly(5, r)).coeffs, b.coeffs, 5, quotient=True)
         assert (q, r) == ((4, 1), (2,))  # 1 + t^2 = (t - 1)(t + 1) + 2
         assert FpPoly(5, q) * b + FpPoly(5, r) == a
 
@@ -468,8 +502,9 @@ class TestPolyAlgebra:
                     continue
                 sq, sr = divmod(to_sympy(a), to_sympy(b))
                 q, r = from_sympy(sq, p), from_sympy(sr, p)
-                assert _poly_rem(a.coeffs, b.coeffs, p) == r.coeffs, (a, b)
-                assert _poly_exact_div((q * b).coeffs, b.coeffs, p) == q.coeffs, (a, b)
+                assert _poly_div(a.coeffs, b.coeffs, p) == r.coeffs, (a, b)
+                assert _poly_div(a.coeffs, b.coeffs, p, quotient=True) == q.coeffs, (a, b)
+                assert _poly_div((q * b).coeffs, b.coeffs, p, quotient=True) == q.coeffs, (a, b)
 
     def test_ratfunc_reduction(self):
         x = RatFunc(FpPoly(5, (0, 2, 2)), FpPoly(5, (0, 4)))
@@ -618,17 +653,17 @@ class TestHenrici:
                     assert (got.num, got.den) == want, (x, y)
         assert shared > 20
 
-    def test_polynomial_sum_runs_no_remainder(self, monkeypatch):
+    def test_polynomial_sum_runs_no_division(self, monkeypatch):
         calls = []
-        real = basefields._poly_rem
+        real = basefields._poly_div
 
-        def counting(a, b, p):
+        def counting(a, b, p, quotient=False):
             calls.append((a, b))
-            return real(a, b, p)
+            return real(a, b, p, quotient)
 
         x = RatFunc(FpPoly(5, (1, 2, 0, 3)), FpPoly(5, (2, 1, 1)))
         y = F5T.poly(4, 0, 1, 1)
-        monkeypatch.setattr(basefields, "_poly_rem", counting)
+        monkeypatch.setattr(basefields, "_poly_div", counting)
         total = (x + y, y + x, x - y)
         assert calls == []
         monkeypatch.undo()

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -316,6 +318,35 @@ class TestDescriptorLaws:
         assert not hypersum_same_set(s1, hyperadd(C(1, 0), C(1, 0)))
 
 
+_CANDIDATE_FIELDS = [
+    PadicRationals(2), Q5, PadicRationals(7),
+    RationalFunctions(2), RationalFunctions(5), RationalFunctions(7),
+    QuadraticExtension(5), QuadraticExtension(7),
+]
+
+
+def _random_padic(field, rng, low=-1, high=2):
+    """A nonzero element of Q_p with value in [low, high]."""
+    p = field.p
+    unit = Fraction(rng.randrange(1, 40) * p + rng.randint(1, p - 1), rng.randrange(1, 8) * p + 1)
+    return field.mul(unit, field.uniformizer_pow(rng.randint(low, high)))
+
+
+def _perturbation_hits(xs, c, g, p):
+    """Whether some sum of representatives x_i * (1 + p^(g+1) * j_i), each
+    j_i < p^3, lies in the class of the nonzero c: a brute-force referee
+    for iterated sums over Q_p that builds no ball.  Scaled to integers,
+    t lies in the class of c exactly when t = c modulo p^(g + 1 + v(c))."""
+    scale = math.lcm(*(x.denominator for x in xs + [c]))
+    modulus = p ** (g + 1 + padic_valuation(c * scale, p))
+    step = p ** (g + 1)
+    sums = {0}
+    for x in xs:
+        x = int(x * scale)
+        sums = {(t + x * (1 + step * j)) % modulus for t in sums for j in range(p ** 3)}
+    return int(c * scale) % modulus in sums
+
+
 class TestIterated:
     def test_member_direct_sum(self):
         res = iterated_contains([C(1, 1), C(1, 1), C(3, 1)], C(5, 1))
@@ -356,14 +387,14 @@ class TestIterated:
         with pytest.raises(ValueError):
             iterated_contains([C(1, 1)], C(1, 1))
 
-    def test_unknown_outside_ring(self):
-        # mixed valuations break the necessary-bound route; a miss in the
-        # bounded search must come back unknown, never a false negative
+    def test_non_member_outside_ring(self):
+        # S = 11/5 and R = 1: the ball holds only classes of value -1,
+        # and the target is a unit
         res = iterated_contains(
-            [C(Fraction(1, 5), 1), C(1, 1), C(1, 1)], C(Fraction(9999, 7), 1),
-            search_bound=4,
+            [C(Fraction(1, 5), 1), C(1, 1), C(1, 1)], C(Fraction(9999, 7), 1)
         )
-        assert res.verdict in ("unknown", "member")
+        assert res.verdict == "non_member"
+        assert res.chain is None
 
     def test_associativity_via_membership(self):
         rng = random.Random(13)
@@ -375,10 +406,71 @@ class TestIterated:
             c = C(rng.randint(-40, 40), g)
             left = iterated_contains(xs, c)
             right = iterated_contains([xs[0]] + xs[1:][::-1], c)
-            # commutativity/associativity of the iterated sum: definite
-            # verdicts must agree regardless of grouping order
-            if "unknown" not in (left.verdict, right.verdict):
-                assert left.verdict == right.verdict
+            # commutativity/associativity of the iterated sum: the
+            # verdict does not depend on the grouping order
+            assert left.verdict == right.verdict
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_verdicts_match_perturbation_referee(self, p):
+        field = PadicRationals(p)
+        rng = random.Random(40 + p)
+        seen = Counter()
+        for _ in range(40):
+            g = rng.randint(0, 3)
+            n = rng.randint(2, 4)
+            xs = [_random_padic(field, rng) for _ in range(n)]
+            if rng.random() < 0.3:
+                # cancel the plain sum down to a deep remainder
+                xs[-1] = field.add(field.neg(sum(xs[:-1])), _random_padic(field, rng, 2, 4))
+            total, least = sum(xs), min(padic_valuation(x, p) for x in xs)
+            depth = least + g + rng.randint(-1, 3)
+            c = field.add(total, field.mul(field.uniformizer_pow(depth), rng.randint(1, p - 1)))
+            if field.is_zero(c):
+                continue
+            summands = [coset_of(field, x, g) for x in xs]
+            target = coset_of(field, c, g)
+            verdict = iterated_contains(summands, target).verdict
+            hit = _perturbation_hits(xs, c, g, p)
+            if hit:
+                assert verdict == "member", (xs, c, g)
+            elif padic_valuation(c, p) - least <= 3:
+                # three digits of perturbation reach every member this close
+                assert verdict == "non_member", (xs, c, g)
+            seen[verdict] += 1
+        assert seen["member"] > 5 and seen["non_member"] > 5
+
+    @pytest.mark.parametrize("field", _CANDIDATE_FIELDS, ids=lambda f: f"{f.kind}-{f.p}")
+    def test_member_chains_recheck_binary(self, field):
+        rng = random.Random(90 + field.p)
+        seen = Counter()
+        for _ in range(40):
+            g = rng.randint(0, 3)
+            xs = [field.random_nonzero(rng, 30) for _ in range(rng.randint(2, 5))]
+            if rng.random() < 0.3:
+                xs[rng.randrange(len(xs))] = field.zero()
+            if rng.random() < 0.3:
+                xs[-1] = field.neg(functools.reduce(field.add, xs[:-1]))
+            total = functools.reduce(field.add, xs)
+            vals = [field.valuation(x) for x in xs if not field.is_zero(x)]
+            depth = g + min(vals) + rng.randint(0, 3) if vals else 0
+            c = rng.choice([
+                total,
+                field.add(total, field.mul(field.uniformizer_pow(depth), field.unit_digit(rng.randrange(4)))),
+                field.zero(),
+            ])
+            summands = [coset_of(field, x, g) for x in xs]
+            target = coset_of(field, c, g)
+            res = iterated_contains(summands, target)
+            seen[res.verdict] += 1
+            if res.verdict != "member":
+                assert res.chain is None
+                continue
+            assert len(res.chain) == len(xs) - 2
+            acc = summands[0]
+            for link, nxt in zip(list(res.chain) + [target], summands[1:]):
+                assert hypersum_contains(hyperadd(acc, nxt), link), (xs, c, g)
+                acc = link
+        assert seen["member"] > 15 and seen["non_member"] > 2
 
 
 def _six_then_dedup(s):
@@ -397,13 +489,6 @@ def _six_then_dedup(s):
         if not any(coset_eq(c, seen) for seen in out):
             out.append(c)
     return out
-
-
-_CANDIDATE_FIELDS = [
-    PadicRationals(2), Q5, PadicRationals(7),
-    RationalFunctions(2), RationalFunctions(5), RationalFunctions(7),
-    QuadraticExtension(5), QuadraticExtension(7),
-]
 
 
 class TestMemberCandidates:

@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -20,3 +21,12 @@ def test_package_root_exports_the_tour():
     used = set(re.findall(r"\bht\.(\w+)", _tour()))
     assert set(hypertower.__all__) == used
     assert len(hypertower.__all__) == len(used)
+
+
+def test_every_module_export_resolves():
+    package = Path(hypertower.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        name = "hypertower" if path.stem == "__init__" else f"hypertower.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], (name, missing)

@@ -155,9 +155,6 @@ class Approximation:
         if any(d < 0 or d >= self.p for d in self.digits):
             raise ValueError("digits must lie in 0..p-1")
 
-    def is_zero(self):
-        return all(d == 0 for d in self.digits)
-
     def to_json(self):
         return {"shift": self.shift, "digits": list(self.digits), "p": self.p}
 

@@ -156,8 +156,6 @@ def cmd_expand(args):
 
 
 def cmd_embed(args):
-    if args.ext != "quadratic":
-        raise UsageError(f"unknown extension {args.ext!r}")
     ext = QuadraticExtension(args.p)
     base = PadicRationals(args.p)
     x = _parse_element(ext, args.x) if args.x else ext.generator()
@@ -259,7 +257,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("embed", help="embed an extension element as digits")
-    sp.add_argument("--ext", default="quadratic")
+    sp.add_argument("--ext", default="quadratic", choices=["quadratic"])
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--x", default=None)
     sp.add_argument("--digits", type=_digits, default=8)

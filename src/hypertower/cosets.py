@@ -27,7 +27,6 @@ __all__ = [
     "coset_of",
     "coset_eq",
     "coset_mul",
-    "coset_neg",
     "coset_value",
     "hyperadd",
     "hypersum_contains",
@@ -113,10 +112,6 @@ def coset_eq(a, b):
 def coset_mul(a, b):
     _same_world(a, b)
     return GammaCoset(a.field, a.level, a.field.mul(a.rep, b.rep))
-
-
-def coset_neg(a):
-    return GammaCoset(a.field, a.level, a.field.neg(a.rep))
 
 
 def coset_value(a):
@@ -234,8 +229,10 @@ def iterated_contains(summands, c):
     for s in summands[1:] + [c]:
         _same_world(summands[0], s)
     if all(s.is_zero() for s in summands):
-        verdict = "member" if c.is_zero() else "non_member"
-        return IteratedResult(verdict, () if c.is_zero() else None)
+        # every partial sum is the zero class
+        if not c.is_zero():
+            return IteratedResult("non_member")
+        return IteratedResult("member", tuple(summands[1:-1]))
 
     reps = [s.rep for s in summands]
     total = list(accumulate(reps, field.add))[-1]

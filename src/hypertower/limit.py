@@ -15,7 +15,6 @@ some level is a proof.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .oag import INF
@@ -44,6 +43,7 @@ __all__ = [
     "check_universal_property",
 ]
 
+# levels the cancellation search of add reads before it calls a sum zero
 ZERO_PROBE = 64
 
 
@@ -56,7 +56,7 @@ class CoherenceError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """The probe bound was exhausted before the question was settled."""
+    """An explicit chain of classes ends below the level asked for."""
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,6 @@ class EqResult:
     level: int
     witness: tuple = None
 
-    def __bool__(self):
-        return self.equal
-
 
 @dataclass(frozen=True)
 class RepresentativeFinder:
@@ -163,7 +160,6 @@ class CoherentElement:
         self.provenance = provenance or {"kind": "opaque"}
         self._memo = {}
         self._deepest = None
-        self._lock = threading.Lock()
 
     def at(self, level):
         """The class at a level; materializes once, then is frozen.
@@ -179,25 +175,21 @@ class CoherentElement:
         got = self._memo.get(level)
         if got is not None:
             return got
-        with self._lock:
-            got = self._memo.get(level)
-            if got is not None:
-                return got
-            deep = self._deepest
-            if deep is not None and level < deep.level:
-                c = project(deep, level)
-            else:
-                c = self._generator(level)
-                if not isinstance(c, GammaCoset) or c.field != self.field:
-                    raise CoherenceError(level, "generator returned a foreign class")
-                if c.level != level:
-                    raise CoherenceError(level, f"generator returned level {c.level}")
-                self._check_value(level, c)
-                if deep is not None and not coset_eq(project(c, deep.level), deep):
-                    raise CoherenceError(level, f"disagrees with stored level {deep.level}")
-                self._deepest = c
-            self._memo[level] = c
-            return c
+        deep = self._deepest
+        if deep is not None and level < deep.level:
+            c = project(deep, level)
+        else:
+            c = self._generator(level)
+            if not isinstance(c, GammaCoset) or c.field != self.field:
+                raise CoherenceError(level, "generator returned a foreign class")
+            if c.level != level:
+                raise CoherenceError(level, f"generator returned level {c.level}")
+            self._check_value(level, c)
+            if deep is not None and not coset_eq(project(c, deep.level), deep):
+                raise CoherenceError(level, f"disagrees with stored level {deep.level}")
+            self._deepest = c
+        self._memo[level] = c
+        return c
 
     def _check_value(self, level, c):
         if self._valuation is None:
@@ -212,26 +204,15 @@ class CoherentElement:
             )
 
     def valuation(self):
-        """The shared valuation of the element's classes.
+        """The shared valuation of the element's classes, read at level 0.
 
-        Exact elements answer immediately.  Otherwise levels are probed
-        up to the zero-probe bound; an element that stays zero that long
-        without an exactness guarantee is indistinguishable from zero and
-        raises ``PrecisionError``.
+        The zero class holds 0 alone and every deeper class projects onto
+        the level-0 one, so a zero level-0 class makes the element zero
+        (INF); a deeper nonzero class is then a ``CoherenceError``.
         """
-        if self._valuation is not None:
-            return self._valuation
-        if self.exact:
-            v = self.field.valuation(self.at(0).rep)
-            self._valuation = v
-            return v
-        for level in range(ZERO_PROBE + 1):
-            c = self.at(level)
-            if not c.is_zero():
-                v = c.value()
-                self._valuation = v
-                return v
-        raise PrecisionError(f"no nonzero class within probe bound {ZERO_PROBE}")
+        if self._valuation is None:
+            self._valuation = self.at(0).value()
+        return self._valuation
 
     def to_json(self, levels=4):
         # a provenance element is rendered here, not when the element is
@@ -288,14 +269,6 @@ def from_cosets(field, chain, *, known_valuation=None):
     )
 
 
-def _value_or_inf(e):
-    """The element's valuation, or INF when the zero probe finds no witness."""
-    try:
-        return e.valuation()
-    except PrecisionError:
-        return INF
-
-
 def _levelwise(op, fn, args, *, shift=0, exact, valuation, ledger):
     """The element whose level-g class is that of fn(reps of args at g + shift).
 
@@ -329,19 +302,14 @@ def _levelwise(op, fn, args, *, shift=0, exact, valuation, ledger):
 
 def _add_elements(a, b):
     field = a.field
-    va, vb = _value_or_inf(a), _value_or_inf(b)
+    va, vb = a.valuation(), b.valuation()
     ledger = a.ledger.merged(b.ledger)
     if va is INF and vb is INF:
         return zero_element(field), ledger
     if va is INF or vb is INF:
-        src = b if va is INF else a
-        out = CoherentElement(
-            field,
-            src.at,
-            exact=src.exact,
-            known_valuation=src._valuation,
-            ledger=ledger,
-            provenance={"kind": "arith", "op": "add"},
+        out = _levelwise(
+            "add", field.add, (a, b),
+            exact=a.exact and b.exact, valuation=min(va, vb), ledger=ledger,
         )
         return out, ledger
     m = min(va, vb)
@@ -381,7 +349,7 @@ def _add_elements(a, b):
 
 def _mul_elements(a, b):
     ledger = a.ledger.merged(b.ledger)
-    va, vb = _value_or_inf(a), _value_or_inf(b)
+    va, vb = a.valuation(), b.valuation()
     if va is INF or vb is INF:
         return zero_element(a.field), ledger
     out = _levelwise(
@@ -391,12 +359,7 @@ def _mul_elements(a, b):
 
 
 def _inv_element(a):
-    try:
-        va = a.valuation()
-    except PrecisionError as exc:
-        raise PrecisionError(
-            f"cannot invert: probe bound {ZERO_PROBE} reached without a nonzero witness"
-        ) from exc
+    va = a.valuation()
     if va is INF:
         raise ZeroDivisionError("inverse of the zero element")
     out = _levelwise("inv", a.field.inv, (a,), exact=a.exact, valuation=-va, ledger=a.ledger)
@@ -510,7 +473,7 @@ def check_singlevalued(a, b, n, rng, chains=8):
     report = LawReport("singlevalued-sum")
     field = a.field
     total, _ = limit_arith("add", a, b)
-    vs, va, vb = _value_or_inf(total), _value_or_inf(a), _value_or_inf(b)
+    vs, va, vb = total.valuation(), a.valuation(), b.valuation()
     if va is INF or vb is INF:
         # singleton descriptors at every level: the canonical choice is
         # the only member, nothing to vary
@@ -586,12 +549,7 @@ def check_universal_property(field, samples, sides, candidates, n):
 
     for x in samples:
         report.tick()
-        mediating = CoherentElement(
-            field,
-            lambda level: sides(x, level),
-            exact=False,
-            provenance={"kind": "mediating"},
-        )
+        mediating = from_cosets(field, lambda level: sides(x, level))
         try:
             classes = [mediating.at(level) for level in range(n + 1)]
         except CoherenceError as exc:

@@ -188,6 +188,11 @@ def test_integer_element_inputs_parse(capsys, field, text, rep):
     assert json.loads(out)["coset"]["rep"] == rep
 
 
+def test_unknown_extension_exit_two(capsys):
+    code, out, _ = invoke(capsys, "embed", "--ext", "cubic", "--p", "5")
+    assert code == 2 and out == ""
+
+
 def test_unknown_suite_exit_two(capsys):
     code, _, err = invoke(capsys, "laws", "--suite", "bogus", "--seed", "1")
     assert code == 2

@@ -19,7 +19,6 @@ from hypertower.cosets import (
     GammaCoset,
     coset_eq,
     coset_mul,
-    coset_neg,
     coset_of,
     coset_value,
     HyperSum,
@@ -35,6 +34,10 @@ from hypertower.tower import LawReport, project
 from hypertower.suites import definitional_member, lee_suite, reduced_rationals
 
 Q5 = PadicRationals(5)
+
+
+def coset_neg(a):
+    return GammaCoset(a.field, a.level, a.field.neg(a.rep))
 
 
 def C(x, g, field=Q5):
@@ -382,6 +385,17 @@ class TestIterated:
     def test_all_zero(self):
         assert iterated_contains([C(0, 1), C(0, 1)], C(0, 1)).verdict == "member"
         assert iterated_contains([C(0, 1), C(0, 1)], C(3, 1)).verdict == "non_member"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_all_zero_chain_rechecks(self, n):
+        summands = [C(0, 1)] * n
+        res = iterated_contains(summands, C(0, 1))
+        assert res.verdict == "member"
+        assert len(res.chain) == n - 2
+        acc = summands[0]
+        for link, nxt in zip(list(res.chain) + [C(0, 1)], summands[1:]):
+            assert hypersum_contains(hyperadd(acc, nxt), link)
+            acc = link
 
     def test_too_few(self):
         with pytest.raises(ValueError):

@@ -183,12 +183,6 @@ class FpPoly:
     def constant(cls, p, c):
         return cls(p, (c,))
 
-    @classmethod
-    def t_power(cls, p, k):
-        if k < 0:
-            raise ValueError("negative power")
-        return cls(p, (0,) * k + (1,))
-
     def is_zero(self):
         return not self.coeffs
 

@@ -16,14 +16,10 @@ import sys
 
 from . import suites
 from .basefields import PadicRationals, QuadraticExtension, make_field
-from .cosets import coset_of, coset_value, hyperadd, hypersum_value_set
+from .cosets import coset_of, hyperadd, hypersum_value_set
 from .oag import value_to_json
 from .limit import from_field, hensel_finder, limit_arith, sigma_embed, to_approximation
 from .tower import project
-
-
-class UsageError(Exception):
-    pass
 
 
 # a digit window costs more than linear time in its length, and a digit
@@ -54,7 +50,7 @@ def _check_window(args):
         return
     budget = MAX_DIGITS * (13).bit_length()
     if digits * args.p.bit_length() > budget:
-        raise UsageError(
+        raise ValueError(
             f"--digits {digits} at --p {args.p} exceeds the window of {budget} bits "
             f"(digits times the bit length of p)"
         )
@@ -65,8 +61,7 @@ def _emit(doc):
 
 
 def _field_of(args):
-    kind = getattr(args, "field", "rational")
-    return make_field(kind, args.p)
+    return make_field(args.field, args.p)
 
 
 def _parse_element(field, text):
@@ -77,7 +72,7 @@ def _parse_element(field, text):
     try:
         return field.element(payload)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise UsageError(f"malformed element {text!r}: {exc}") from exc
+        raise ValueError(f"malformed element {text!r}: {exc}") from exc
 
 
 def _seed_of(args):
@@ -88,7 +83,7 @@ def _seed_of(args):
         try:
             return int(env)
         except ValueError as exc:
-            raise UsageError(f"bad HYPERTOWER_SEED: {env!r}") from exc
+            raise ValueError(f"bad HYPERTOWER_SEED: {env!r}") from exc
     return 0
 
 
@@ -109,7 +104,7 @@ def cmd_coset(args):
         {
             "config": _config(args, x=args.x),
             "coset": c.to_json(),
-            "value": value_to_json(coset_value(c)),
+            "value": value_to_json(c.value()),
         }
     )
     return 0
@@ -133,8 +128,6 @@ def cmd_hyperadd(args):
 def cmd_project(args):
     field = _field_of(args)
     x = _parse_element(field, args.x)
-    if args.to > args.frm:
-        raise UsageError(f"cannot project level {args.frm} up to {args.to}")
     upper = coset_of(field, x, args.frm)
     lower = project(upper, args.to)
     _emit(
@@ -181,7 +174,7 @@ def cmd_limit_arith(args):
     rhs = None
     if args.op in ("add", "mul"):
         if args.rhs is None:
-            raise UsageError(f"--rhs is required for {args.op}")
+            raise ValueError(f"--rhs is required for {args.op}")
         rhs = from_field(field, _parse_element(field, args.rhs))
     out, ledger = limit_arith(args.op, lhs, rhs)
     appr = to_approximation(out, args.digits)
@@ -223,11 +216,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, field=True, gamma=False, digits=False):
-        if field:
-            sp.add_argument("--field", default="rational",
-                            choices=["rational", "function", "quadratic"])
-            sp.add_argument("--p", type=int, default=5)
+    def common(sp, gamma=False, digits=False):
+        sp.add_argument("--field", default="rational",
+                        choices=["rational", "function", "quadratic"])
+        sp.add_argument("--p", type=int, default=5)
         if gamma:
             sp.add_argument("--gamma", type=int, required=True)
         if digits:
@@ -290,7 +282,7 @@ def run(argv=None):
     try:
         _check_window(args)
         return args.fn(args)
-    except (UsageError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,6 @@ __all__ = [
     "coset_of",
     "coset_eq",
     "coset_mul",
-    "coset_value",
     "hyperadd",
     "hypersum_contains",
     "hypersum_value_set",
@@ -112,11 +111,6 @@ def coset_eq(a, b):
 def coset_mul(a, b):
     _same_world(a, b)
     return GammaCoset(a.field, a.level, a.field.mul(a.rep, b.rep))
-
-
-def coset_value(a):
-    """Valuation of the class: shared by all representatives, INF for zero."""
-    return a.value()
 
 
 @dataclass(frozen=True)

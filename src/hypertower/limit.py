@@ -24,7 +24,6 @@ from .tower import LawReport, project
 
 __all__ = [
     "CoherenceError",
-    "PrecisionError",
     "LossEntry",
     "PrecisionLedger",
     "EqResult",
@@ -53,10 +52,6 @@ class CoherenceError(RuntimeError):
     def __init__(self, level, message):
         super().__init__(f"level {level}: {message}")
         self.level = level
-
-
-class PrecisionError(RuntimeError):
-    """An explicit chain of classes ends below the level asked for."""
 
 
 @dataclass(frozen=True)
@@ -243,26 +238,14 @@ def zero_element(field):
 
 
 def from_cosets(field, chain, *, known_valuation=None):
-    """Coherent element backed by an explicit per-level chain of classes.
+    """Coherent element whose class at each level is ``chain(level)``.
 
-    The chain may be a list (prefix) or a callable; coherence is checked
-    lazily at materialization like for any other element.
+    Coherence is checked lazily at materialization like for any other
+    element.
     """
-    if callable(chain):
-        gen = chain
-    else:
-        stored = list(chain)
-
-        def gen(level):
-            if level >= len(stored):
-                raise PrecisionError(
-                    f"chain only materializes levels below {len(stored)}"
-                )
-            return stored[level]
-
     return CoherentElement(
         field,
-        gen,
+        chain,
         exact=False,
         known_valuation=known_valuation,
         provenance={"kind": "chain"},

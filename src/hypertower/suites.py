@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from .basefields import PadicRationals, QuadraticExtension, make_field, padic_valuation
-from .cosets import coset_of, coset_value, hyperadd, hypersum_contains
+from .cosets import GammaCoset, coset_of, hyperadd, hypersum_contains
 from .limit import (
     check_singlevalued,
     check_universal_property,
@@ -243,7 +243,6 @@ def lee_suite(
     exhaustive_bound=6,
     sample_bound=50,
     sample_pairs=4000,
-    full=False,
 ):
     """Two-route membership suite for one (p, level) configuration.
 
@@ -253,7 +252,7 @@ def lee_suite(
     class per configuration, whichever pairs it serves.  Tier two draws
     pairs from the stated larger universe, checks each pair's sum
     descriptor, which decides its full candidate set, and materializes a
-    stratified spot set; ``full=True`` upgrades tier two to all pairs.
+    stratified spot set.
     """
     field = PadicRationals(p)
     report = LawReport(f"lee-two-route[p={p},gamma={gamma}]")
@@ -281,12 +280,7 @@ def lee_suite(
 
     big = reduced_rationals(sample_bound)
     units = _spot_units(p, gamma)
-    if full:
-        pairs = ((x, y) for x in big for y in big)
-    else:
-        pairs = (
-            (rng.choice(big), rng.choice(big)) for _ in range(sample_pairs)
-        )
+    pairs = ((rng.choice(big), rng.choice(big)) for _ in range(sample_pairs))
     for k, (x, y) in enumerate(pairs):
         if x == 0 and y == 0:
             continue
@@ -411,7 +405,7 @@ def _hom(field, rng, *, p, samples, height, digits):
     count = samples // 4 or 8
     for level in (0, 1, 2):
         reports.append(
-            check_hom_law(CosetCarrier(field, level), TropCarrier(), coset_value, rng, samples=count)
+            check_hom_law(CosetCarrier(field, level), TropCarrier(), GammaCoset.value, rng, samples=count)
         )
     reports.append(
         check_hom_law(

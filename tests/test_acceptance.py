@@ -6,7 +6,6 @@ bounds are set in one place below and the two-route structure of each
 suite is preserved at every size.
 """
 
-import os
 import random
 from fractions import Fraction
 
@@ -17,8 +16,8 @@ from hypertower.basefields import (
     RationalFunctions,
 )
 from hypertower.cosets import (
+    GammaCoset,
     coset_of,
-    coset_value,
     hyperadd,
     hypersum_contains,
 )
@@ -47,8 +46,6 @@ from hypertower.limit import (
 from hypertower.sampling import sample_element, sample_member, sample_nonmember
 from hypertower.suites import definitional_member, lee_suite, tropical_suite
 
-# one switch for the full-size enumeration of criterion 1 (slow; see README)
-LEE_FULL = bool(os.environ.get("HYPERTOWER_LEE_FULL"))
 LEE_SAMPLE_PAIRS = 3000
 
 
@@ -72,7 +69,6 @@ def test_criterion_1_two_route_membership():
                     exhaustive_bound=6,
                     sample_bound=50,
                     sample_pairs=LEE_SAMPLE_PAIRS,
-                    full=LEE_FULL,
                 )
             )
     bad = [r for r in reports if not r.passed]
@@ -107,10 +103,10 @@ def test_criterion_2_value_constancy_and_balls():
             s = hyperadd(coset_of(field, x, level), coset_of(field, y, level))
             checked += 1
             if s.singleton is None and not s.contains_zero:
-                centre_value = coset_value(s.center)
+                centre_value = s.center.value()
                 for _ in range(3):
                     m = sample_member(s, rng)
-                    if coset_value(m) != centre_value:
+                    if m.value() != centre_value:
                         mismatches += 1
             # engineered member/nonmember, plus the definitional route
             if not hypersum_contains(s, sample_member(s, rng)):
@@ -155,7 +151,7 @@ def test_criterion_4_tower_laws_and_controls():
         check_projection_containment(field, pairs[:10], elements[:14]),
         check_hom_law(CosetCarrier(field, 3), CosetCarrier(field, 1),
                       lambda c: project(c, 1), rng, samples=120),
-        check_hom_law(CosetCarrier(field, 2), TropCarrier(), coset_value,
+        check_hom_law(CosetCarrier(field, 2), TropCarrier(), GammaCoset.value,
                       rng, samples=120),
     ]
 

@@ -524,10 +524,10 @@ def _draw_ratfunc_parts(rng, p):
     power of t, so that normalization has something to cancel."""
     common = _draw_poly(rng, p, 1, 3)
     if common.is_zero():
-        common = FpPoly.t_power(p, rng.randint(1, 3))
+        common = FpPoly(p, (0,) * rng.randint(1, 3) + (1,))
     den = _draw_poly(rng, p, 1, 4)
     if den.is_zero():
-        den = FpPoly.t_power(p, rng.randint(0, 2))
+        den = FpPoly(p, (0,) * rng.randint(0, 2) + (1,))
     return _draw_poly(rng, p, 0, 5) * common, den * common
 
 

@@ -208,6 +208,23 @@ def test_project_upward_exit_two(capsys):
         capsys, "project", "--p", "5", "--x", "1", "--from", "1", "--to", "3"
     )
     assert code == 2
+    assert err == "error: cannot project level 1 up to 3\n"
+
+
+@pytest.mark.parametrize(
+    "seed_env,argv",
+    [
+        ("abc", ("laws", "--suite", "tropical", "--samples", "16")),
+        (None, ("limit-arith", "--op", "add", "--lhs", "1")),
+    ],
+)
+def test_value_errors_exit_two(capsys, monkeypatch, seed_env, argv):
+    if seed_env is not None:
+        monkeypatch.setenv("HYPERTOWER_SEED", seed_env)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # sha256 of the stdout of each run below, recorded before the suites moved

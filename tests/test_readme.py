@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -29,4 +30,30 @@ def test_every_module_export_resolves():
         name = "hypertower" if path.stem == "__init__" else f"hypertower.{path.stem}"
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], (name, missing)
+
+
+def test_module_bullets_name_real_objects():
+    """Each bare name in backticks in a `hypertower.<module>` bullet is an
+    attribute of that module or of a class defined there; one-letter
+    names are math symbols."""
+    bullets = re.findall(
+        r"^\* \*\*`(hypertower(?:\.\w+)?)`\*\*(.*?)(?=^\S|^\s*$)",
+        README.read_text(),
+        re.S | re.M,
+    )
+    assert len(bullets) > 1
+    for name, body in bullets:
+        module = importlib.import_module(name)
+        classes = [
+            c for _, c in inspect.getmembers(module, inspect.isclass)
+            if c.__module__ == name
+        ]
+        missing = [
+            word
+            for word in sorted(set(re.findall(r"`([A-Za-z_]\w*)`", body)))
+            if len(word) > 1
+            and not hasattr(module, word)
+            and not any(hasattr(c, word) for c in classes)
+        ]
         assert missing == [], (name, missing)

@@ -122,8 +122,10 @@ def _int_coeffs(obj):
 
 
 def padic_valuation(q, p):
-    if not isinstance(q, (Fraction, int)):
-        q = Fraction(q)
+    """v_p of a Fraction or an int.  Converting anything else would read a
+    float by its binary fraction and a bool as 0 or 1, so both are errors."""
+    if type(q) is not Fraction and (isinstance(q, bool) or not isinstance(q, (Fraction, int))):
+        raise ValueError(f"not a rational: {q!r}")
     if not q:
         return INF
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
@@ -464,9 +466,12 @@ class ValuedField:
     ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``is_zero``, the constants
     ``zero``, ``one``, ``unit_digit`` and ``uniformizer_pow``,
     ``from_approximation``, ``random_nonzero`` and ``descriptor``.
-    ``PadicRationals`` overrides ``is_zero`` and ``inv``, as a ``Fraction``
-    has neither method; ``RationalFunctions`` overrides ``uniformizer_pow``
-    and ``from_approximation``, as its uniformizer is t, not p.
+    ``PadicRationals`` overrides ``is_zero``, as a ``Fraction`` has no such
+    method, and ``add``, ``sub``, ``mul`` and ``inv``, which cross-multiply
+    the integer numerators and denominators and normalize once in
+    ``Fraction(n, d)`` instead of going through ``Fraction``'s operator
+    dispatch; ``RationalFunctions`` overrides ``uniformizer_pow`` and
+    ``from_approximation``, as its uniformizer is t, not p.
     """
 
     kind = None
@@ -574,11 +579,38 @@ class PadicRationals(ValuedField):
     def is_zero(self, x):
         return not self.check(x)
 
+    # one normalization in the public Fraction(n, d) per result, as the
+    # ValuedField docstring says; Fraction's private fast paths changed
+    # between Python versions
+    def add(self, x, y):
+        if type(x) is not Fraction:
+            x = self.check(x)
+        if type(y) is not Fraction:
+            y = self.check(y)
+        xd, yd = x.denominator, y.denominator
+        return Fraction(x.numerator * yd + y.numerator * xd, xd * yd)
+
+    def sub(self, x, y):
+        if type(x) is not Fraction:
+            x = self.check(x)
+        if type(y) is not Fraction:
+            y = self.check(y)
+        xd, yd = x.denominator, y.denominator
+        return Fraction(x.numerator * yd - y.numerator * xd, xd * yd)
+
+    def mul(self, x, y):
+        if type(x) is not Fraction:
+            x = self.check(x)
+        if type(y) is not Fraction:
+            y = self.check(y)
+        return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
+
     def inv(self, x):
-        x = self.check(x)
-        if x == 0:
+        if type(x) is not Fraction:
+            x = self.check(x)
+        if not x:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / x
+        return Fraction(x.denominator, x.numerator)
 
     def valuation(self, x):
         return padic_valuation(self.check(x), self.p)

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,11 +73,84 @@ class TestArith:
             E5.add(E5.one(), QuadElement(7, 1, 0))
 
 
+def _rational_operands(rng, p):
+    """Seeded Q_p operands: zero, plain ints, negatives, p-power
+    denominators, and numerators or denominators past 2^200."""
+    big = 2 ** 200
+    out = [0, Fraction(0), 1, -1, p, -p ** 3, Fraction(1, p), Fraction(-1, p ** 4)]
+    for _ in range(40):
+        kind = rng.randrange(5)
+        if kind == 0:
+            out.append(rng.randint(-10 ** 6, 10 ** 6))
+        elif kind == 1:
+            out.append(Fraction(rng.randint(-500, 500), rng.randint(1, 500)))
+        elif kind == 2:
+            out.append(Fraction(rng.randint(-500, 500), p ** rng.randint(1, 12)))
+        elif kind == 3:
+            num = rng.choice((-1, 1)) * rng.randint(big, 4 * big)
+            out.append(Fraction(num, rng.randint(1, 10 ** 9)))
+        else:
+            den = rng.randint(big, 4 * big) * p ** rng.randint(0, 5)
+            out.append(Fraction(rng.randint(-10 ** 6, 10 ** 6), den))
+    return out
+
+
+class TestRationalKernel:
+    """Q_p's own add, sub, mul and inv against Python's Fraction operators."""
+
+    @staticmethod
+    def _assert_normal(got, want):
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert gcd(got.numerator, got.denominator) == 1
+        assert got.denominator > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_fraction_operators(self, p):
+        field = PadicRationals(p)
+        rng = random.Random(67 + p)
+        xs = _rational_operands(rng, p)
+        pairs = [(x, y) for x in xs[:12] for y in xs[:12]]
+        pairs += list(zip(xs, reversed(xs)))
+        pairs += [(rng.choice(xs), rng.choice(xs)) for _ in range(300)]
+        for x, y in pairs:
+            fx, fy = Fraction(x), Fraction(y)
+            self._assert_normal(field.add(x, y), fx + fy)
+            self._assert_normal(field.sub(x, y), fx - fy)
+            self._assert_normal(field.mul(x, y), fx * fy)
+        for x in xs:
+            if x:
+                self._assert_normal(field.inv(x), 1 / Fraction(x))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    field.inv(x)
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 2.0], ids=repr)
+    def test_rejects_bool_and_float(self, bad):
+        one = Fraction(1)
+        for method in (Q5.add, Q5.sub, Q5.mul):
+            with pytest.raises(ValueError):
+                method(bad, one)
+            with pytest.raises(ValueError):
+                method(one, bad)
+        with pytest.raises(ValueError):
+            Q5.inv(bad)
+
+
 class TestValuation:
     def test_examples(self):
         assert Q5.valuation(50) == 2
         assert Q5.valuation(0) is INF
         assert Q5.valuation(Fraction(3, 10)) == -1
+
+    def test_padic_valuation_takes_fraction_or_int(self):
+        assert padic_valuation(8, 2) == 3
+        assert padic_valuation(Fraction(3, 4), 2) == -2
+        assert padic_valuation(0, 2) is INF
+        # a float is not read by its binary fraction, nor a bool as 0 or 1
+        for bad in (0.1, 2.0, True, False, "1/2"):
+            with pytest.raises(ValueError):
+                padic_valuation(bad, 2)
 
     def test_function_field(self):
         t = F5T.poly(0, 1)
@@ -170,6 +244,16 @@ def _shifted_elements(field, rng, count):
     return out
 
 
+def _assert_sub_valuation(field, a, b):
+    """sub_valuation against v(field.sub(a, b)) and, for Q_p, against
+    Python's own Fraction subtraction, which shares no code with the
+    field's sub."""
+    got = field.sub_valuation(a, b)
+    assert got == field.valuation(field.sub(a, b))
+    if isinstance(field, PadicRationals):
+        assert got == padic_valuation(a - b, field.p)
+
+
 class TestKernels:
     """The integer kernels against plain field arithmetic."""
 
@@ -186,7 +270,7 @@ class TestKernels:
             # near - x = y * p^k: a difference k digits deeper than y
             near = field.add(x, field.mul(y, field.uniformizer_pow(rng.randint(0, 6))))
             for a, b in ((x, y), (x, near), (y, x), (x, field.zero()), (field.zero(), y)):
-                assert field.sub_valuation(a, b) == field.valuation(field.sub(a, b))
+                _assert_sub_valuation(field, a, b)
             assert field.sub_valuation(x, x) is INF
             assert field.sub_valuation(field.zero(), field.zero()) is INF
 
@@ -212,7 +296,7 @@ class TestKernels:
                 b = field.mul(y, field.uniformizer_pow(-rng.randint(1, 4)))
                 near = field.add(a, field.mul(b, field.uniformizer_pow(rng.randint(1, 8))))
                 for u, w in ((a, b), (b, a), (a, near), (near, a), (b, near)):
-                    assert field.sub_valuation(u, w) == field.valuation(field.sub(u, w))
+                    _assert_sub_valuation(field, u, w)
 
     @pytest.mark.parametrize("p", [5, 13])
     def test_window_core_accepts_unreduced_fractions(self, p):

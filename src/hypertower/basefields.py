@@ -131,16 +131,30 @@ def padic_valuation(q, p):
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
+# below this many digits _digits_of peels them off one divmod at a time
+_DIGITS_CUTOFF = 64
+
+
 def _digits_of(n, p, count):
-    """Little-endian base-p digits of a nonnegative integer."""
-    out = []
-    for _ in range(count):
-        n, r = divmod(n, p)
-        out.append(r)
-    return tuple(out)
+    """The first ``count`` little-endian base-p digits of a nonnegative
+    integer.
+
+    A long window is split at p^(count // 2) and each half expanded on its
+    own, so the big divisions shrink geometrically and ``count`` digits
+    cost a few big-integer divisions instead of ``count`` of them.
+    """
+    if count <= _DIGITS_CUTOFF:
+        out = []
+        for _ in range(count):
+            n, r = divmod(n, p)
+            out.append(r)
+        return tuple(out)
+    half = count // 2
+    hi, lo = divmod(n, p ** half)
+    return _digits_of(lo, p, half) + _digits_of(hi, p, count - half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Approximation:
     """A finite digit window: p^shift * sum(digits[i] * p^i).
 
@@ -156,6 +170,16 @@ class Approximation:
         object.__setattr__(self, "digits", tuple([_exact_index(d, "a digit") for d in self.digits]))
         if any(d < 0 or d >= self.p for d in self.digits):
             raise ValueError("digits must lie in 0..p-1")
+
+    @classmethod
+    def _trusted(cls, shift, digits, p):
+        """Wrap a tuple of ints already in 0..p-1, as ``expand`` makes
+        them, without re-checking each digit."""
+        appr = object.__new__(cls)
+        object.__setattr__(appr, "shift", shift)
+        object.__setattr__(appr, "digits", digits)
+        object.__setattr__(appr, "p", p)
+        return appr
 
     def to_json(self):
         return {"shift": self.shift, "digits": list(self.digits), "p": self.p}
@@ -392,7 +416,7 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadElement:
     """a + b*r with r*r = 1 + p and exact rational components."""
 
@@ -405,6 +429,15 @@ class QuadElement:
             c = getattr(self, name)
             if type(c) is not Fraction:
                 object.__setattr__(self, name, Fraction(_exact_index(c, "a component")))
+
+    @classmethod
+    def _normal(cls, p, a, b):
+        """Wrap two Fractions as they are, without re-running ``__post_init__``."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        return x
 
     def is_zero(self):
         return self.a == 0 and self.b == 0
@@ -448,6 +481,11 @@ class QuadElement:
         return f"({self.a} + {self.b}*r)"
 
 
+def _ratio_sum(n1, d1, n2, d2):
+    """n1/d1 + n2/d2 in lowest terms, from one normalization."""
+    return Fraction(n1 * d2 + n2 * d1, d1 * d2)
+
+
 class ValuedField:
     """Shared plumbing for the supported exact valued fields.
 
@@ -465,13 +503,20 @@ class ValuedField:
     element type's own ``+``, ``-``, ``*``, ``is_zero`` and ``inverse``:
     ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``is_zero``, the constants
     ``zero``, ``one``, ``unit_digit`` and ``uniformizer_pow``,
-    ``from_approximation``, ``random_nonzero`` and ``descriptor``.
+    ``from_approximation`` (a Horner resum on integers), ``random_nonzero``
+    and ``descriptor``.
     ``PadicRationals`` overrides ``is_zero``, as a ``Fraction`` has no such
     method, and ``add``, ``sub``, ``mul`` and ``inv``, which cross-multiply
     the integer numerators and denominators and normalize once in
     ``Fraction(n, d)`` instead of going through ``Fraction``'s operator
-    dispatch; ``RationalFunctions`` overrides ``uniformizer_pow`` and
-    ``from_approximation``, as its uniformizer is t, not p.
+    dispatch.  ``QuadraticExtension`` overrides ``add``, ``sub``, ``neg``,
+    ``mul``, ``inv`` and ``is_zero`` the same way, one ``Fraction(n, d)``
+    per component, and wraps the result without re-running
+    ``QuadElement.__post_init__``.  ``RationalFunctions`` overrides
+    ``uniformizer_pow`` and ``from_approximation``, as its uniformizer is
+    t, not p.  Every ``expand`` builds its window of in-range ints through
+    the trusted ``Approximation._trusted``; the public constructor still
+    checks every digit.
     """
 
     kind = None
@@ -540,14 +585,17 @@ class ValuedField:
                 return x
 
     def from_approximation(self, appr):
-        """The element p^shift * sum(digits[i] * p^i) of a digit window."""
-        if appr.p != self.p:
+        """The element p^shift * sum(digits[i] * p^i) of a digit window,
+        resummed by Horner's rule on integers."""
+        p = self.p
+        if appr.p != p:
             raise ValueError("approximation base mismatch")
-        total = Fraction(0)
-        for i, d in enumerate(appr.digits):
-            if d:
-                total += d * Fraction(self.p) ** (appr.shift + i)
-        return self.check(total)
+        total = 0
+        for d in reversed(appr.digits):
+            total = total * p + d
+        if appr.shift >= 0:
+            return self.check(total * p ** appr.shift)
+        return self.check(Fraction(total, p ** -appr.shift))
 
 
 class PadicRationals(ValuedField):
@@ -641,14 +689,19 @@ class PadicRationals(ValuedField):
         """
         if n < 1:
             raise ValueError("precision must be >= 1")
-        x = self.check(x)
-        if x == 0:
-            return Approximation(0, (0,) * n, self.p)
-        e = padic_valuation(x, self.p)
-        u = x / Fraction(self.p) ** e
-        m = self.p ** n
-        val = u.numerator * pow(u.denominator, -1, m) % m
-        return Approximation(e, _digits_of(val, self.p, n), self.p)
+        x, p = self.check(x), self.p
+        if not x:
+            return Approximation._trusted(0, (0,) * n, p)
+        # numerator and denominator are coprime: at most one holds p
+        num, den = x.numerator, x.denominator
+        vn, vd = int_valuation(num, p), int_valuation(den, p)
+        if vn:
+            num //= p ** vn
+        elif vd:
+            den //= p ** vd
+        m = p ** n
+        val = num * pow(den, -1, m) % m
+        return Approximation._trusted(vn - vd, _digits_of(val, p, n), p)
 
     def random_element(self, rng, height=50):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
@@ -728,7 +781,7 @@ class RationalFunctions(ValuedField):
             raise ValueError("precision must be >= 1")
         x = self.check(x)
         if x.is_zero():
-            return Approximation(0, (0,) * n, self.p)
+            return Approximation._trusted(0, (0,) * n, self.p)
         on, od = x.num.order(), x.den.order()
         nn, dd = x.num.coeffs[on:on + n], x.den.coeffs[od:]
         nn += (0,) * (n - len(nn))
@@ -739,7 +792,7 @@ class RationalFunctions(ValuedField):
             for j in range(1, min(k, len(dd) - 1) + 1):
                 acc -= dd[j] * coeffs[k - j]
             coeffs.append(acc * inv0 % self.p)
-        return Approximation(on - od, tuple(coeffs), self.p)
+        return Approximation._trusted(on - od, tuple(coeffs), self.p)
 
     def from_approximation(self, appr):
         if appr.p != self.p:
@@ -801,6 +854,53 @@ class QuadraticExtension(ValuedField):
             return QuadElement(self.p, _exact_rational(obj, "quadratic element"), Fraction(0))
         raise ValueError(f"cannot parse quadratic element from {obj!r}")
 
+    # arithmetic on the components' integer numerators and denominators,
+    # one normalization in the public Fraction(n, d) per component, and the
+    # result wrapped without re-running QuadElement.__post_init__
+    def _parts(self, x):
+        """(an, ad, bn, bd) of x = an/ad + (bn/bd) r, checked as an element."""
+        if type(x) is not QuadElement or x.p != self.p:
+            x = self.check(x)
+        a, b = x.a, x.b
+        return a.numerator, a.denominator, b.numerator, b.denominator
+
+    def add(self, x, y):
+        an, ad, bn, bd = self._parts(x)
+        cn, cd, dn, dd = self._parts(y)
+        return QuadElement._normal(self.p, _ratio_sum(an, ad, cn, cd), _ratio_sum(bn, bd, dn, dd))
+
+    def sub(self, x, y):
+        an, ad, bn, bd = self._parts(x)
+        cn, cd, dn, dd = self._parts(y)
+        return QuadElement._normal(self.p, _ratio_sum(an, ad, -cn, cd), _ratio_sum(bn, bd, -dn, dd))
+
+    def neg(self, x):
+        an, ad, bn, bd = self._parts(x)
+        return QuadElement._normal(self.p, Fraction(-an, ad), Fraction(-bn, bd))
+
+    def mul(self, x, y):
+        # (a + b r)(c + d r) = (ac + (1+p) bd) + (ad + bc) r
+        an, ad, bn, bd = self._parts(x)
+        cn, cd, dn, dd = self._parts(y)
+        return QuadElement._normal(
+            self.p,
+            _ratio_sum(an * cn, ad * cd, (1 + self.p) * bn * dn, bd * dd),
+            _ratio_sum(an * dn, ad * dd, bn * cn, bd * cd),
+        )
+
+    def inv(self, x):
+        # (a + b r)^-1 = (a - b r) / N, where N = a^2 - (1+p) b^2 = n / (ad bd)^2
+        # is nonzero for nonzero x, as 1 + p is not a square
+        an, ad, bn, bd = self._parts(x)
+        if not an and not bn:
+            raise ZeroDivisionError("inverse of zero")
+        n, adbd = (an * bd) ** 2 - (1 + self.p) * (bn * ad) ** 2, ad * bd
+        return QuadElement._normal(self.p, Fraction(an * adbd * bd, n), Fraction(-bn * adbd * ad, n))
+
+    def is_zero(self, x):
+        an, _, bn, _ = self._parts(x)
+        return not an and not bn
+
     def generator(self):
         return QuadElement(self.p, Fraction(0), Fraction(1))
 
@@ -826,9 +926,7 @@ class QuadraticExtension(ValuedField):
         components.  The norm a^2 - (1+p) b^2 bounds how deep the leading
         digit can hide, so the search window is finite and the result exact.
         """
-        x = self.check(x)
-        a, b = x.a, x.b
-        return self._window_ints(a.numerator, a.denominator, b.numerator, b.denominator, n)
+        return self._window_ints(*self._parts(x), n)
 
     def _window_ints(self, an, ad, bn, bd, n):
         """The core of `_window` on x = an/ad + (bn/bd) r, with nonzero
@@ -873,9 +971,7 @@ class QuadraticExtension(ValuedField):
         return self._window_ints(an, ad, bn, bd, 1)[0]
 
     def valuation(self, x):
-        x = self.check(x)
-        a, b = x.a, x.b
-        return self._value_ints(a.numerator, a.denominator, b.numerator, b.denominator)
+        return self._value_ints(*self._parts(x))
 
     def sub_valuation(self, x, y):
         # v(x - y) from the component cross differences, left unreduced
@@ -892,7 +988,7 @@ class QuadraticExtension(ValuedField):
         if n < 1:
             raise ValueError("precision must be >= 1")
         v, unit = self._window(x, n)
-        return Approximation(0 if v is INF else v, _digits_of(unit, self.p, n), self.p)
+        return Approximation._trusted(0 if v is INF else v, _digits_of(unit, self.p, n), self.p)
 
     def representative(self, x, level):
         """A rational whose level-`level` class is the image of x.

@@ -49,21 +49,27 @@ class GammaCoset:
     """The class of a field element at a given nonnegative level.
 
     Stored by representative; equality is the relative-error predicate,
-    not structural comparison, so instances are unhashable.
+    not structural comparison, so instances are unhashable.  A class
+    computes its value at most once; ``_valued_coset`` builds a class of a
+    representative the field has already valued, with that value.
     """
 
-    __slots__ = ("field", "level", "rep")
+    __slots__ = ("field", "level", "rep", "_value")
 
     def __init__(self, field, level, rep):
         self.field = field
         self.level = check_level(level)
         self.rep = field.check(rep)
+        self._value = None
 
     def is_zero(self):
         return self.field.is_zero(self.rep)
 
     def value(self):
-        return self.field.valuation(self.rep)
+        v = self._value
+        if v is None:
+            v = self._value = self.field.valuation(self.rep)
+        return v
 
     def __eq__(self, other):
         if not isinstance(other, GammaCoset):
@@ -89,6 +95,14 @@ def _same_world(a, b):
 def coset_of(field, x, gamma):
     """The class of x at level gamma."""
     return GammaCoset(field, gamma, x)
+
+
+def _valued_coset(field, x, gamma, value):
+    """The class of x at level gamma, given ``value``: the field's
+    valuation of x, or None where it is not known yet."""
+    c = GammaCoset(field, gamma, x)
+    c._value = value
+    return c
 
 
 def coset_eq(a, b):

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 from .oag import INF
 from .basefields import Approximation
-from .cosets import GammaCoset, check_level, coset_eq, coset_of, hyperadd, hypersum_contains
+from .cosets import (
+    GammaCoset,
+    _valued_coset,
+    check_level,
+    coset_eq,
+    coset_of,
+    hyperadd,
+    hypersum_contains,
+)
 from .tower import LawReport, project
 
 __all__ = [
@@ -224,11 +232,12 @@ class CoherentElement:
 def from_field(field, x):
     """The coherent family of a plain field element (exact at all levels)."""
     x = field.check(x)
+    v = field.valuation(x)
     return CoherentElement(
         field,
-        lambda level: coset_of(field, x, level),
+        lambda level: _valued_coset(field, x, level, v),
         exact=True,
-        known_valuation=field.valuation(x),
+        known_valuation=v,
         provenance={"kind": "from_field", "element": lambda: field.to_json(x)},
     )
 
@@ -283,12 +292,28 @@ def _levelwise(op, fn, args, *, shift=0, exact, valuation, ledger):
     )
 
 
+def _zero_result(op, field, exact, ledger):
+    """A zero result of ``op``: ``zero_element`` when it is exact, else a
+    zero family that claims no exactness and keeps its arith provenance."""
+    if exact:
+        return zero_element(field)
+    zero = field.zero()
+    return CoherentElement(
+        field,
+        lambda level: coset_of(field, zero, level),
+        exact=False,
+        known_valuation=INF,
+        ledger=ledger,
+        provenance={"kind": "arith", "op": op},
+    )
+
+
 def _add_elements(a, b):
     field = a.field
     va, vb = a.valuation(), b.valuation()
     ledger = a.ledger.merged(b.ledger)
     if va is INF and vb is INF:
-        return zero_element(field), ledger
+        return _zero_result("add", field, a.exact and b.exact, ledger), ledger
     if va is INF or vb is INF:
         out = _levelwise(
             "add", field.add, (a, b),
@@ -334,7 +359,9 @@ def _mul_elements(a, b):
     ledger = a.ledger.merged(b.ledger)
     va, vb = a.valuation(), b.valuation()
     if va is INF or vb is INF:
-        return zero_element(a.field), ledger
+        # exact when a zero operand is exact, whatever the other one is
+        exact = (va is INF and a.exact) or (vb is INF and b.exact)
+        return _zero_result("mul", a.field, exact, ledger), ledger
     out = _levelwise(
         "mul", a.field.mul, (a, b), exact=a.exact and b.exact, valuation=va + vb, ledger=ledger
     )

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 from .oag import INF, group_add, trop_hyperadd, trop_member
 from .cosets import (
-    GammaCoset,
+    _valued_coset,
     check_level,
     coset_eq,
     coset_mul,
@@ -78,11 +78,12 @@ class LawReport:
 
 
 def project(c, gamma):
-    """Lower a class to level gamma, keeping the representative."""
+    """Lower a class to level gamma, keeping the representative and its
+    value, if the class has computed it."""
     gamma = check_level(gamma)
     if gamma > c.level:
         raise ValueError(f"cannot project level {c.level} up to {gamma}")
-    return GammaCoset(c.field, gamma, c.rep)
+    return _valued_coset(c.field, c.rep, gamma, c._value)
 
 
 def _levels(pairs):

@@ -137,6 +137,158 @@ class TestRationalKernel:
             Q5.inv(bad)
 
 
+def _plain_digits(n, p, count):
+    """Little-endian base-p digits of n mod p^count, one divmod at a time."""
+    out = []
+    for _ in range(count):
+        n, r = divmod(n, p)
+        out.append(r)
+    return tuple(out)
+
+
+def _quad_operands(rng, p):
+    """Seeded Q(r) operands: plain ints and Fractions, zero components,
+    and components drawn from the Q_p operands (p-power denominators,
+    numerators or denominators past 2^200)."""
+    parts = _rational_operands(rng, p)
+    out = [0, 7, Fraction(-3, p), QuadElement(p, 0, 0), QuadElement(p, 0, 1),
+           QuadElement(p, Fraction(1, p ** 3), 0)]
+    out += [QuadElement(p, rng.choice(parts), rng.choice(parts)) for _ in range(40)]
+    return out
+
+
+class TestQuadraticKernel:
+    """Q(r)'s own add, sub, neg, mul, inv and is_zero against QuadElement's
+    operators."""
+
+    @staticmethod
+    def _assert_normal(got, want):
+        assert type(got) is QuadElement and got.p == want.p
+        for g, w in ((got.a, want.a), (got.b, want.b)):
+            assert type(g) is Fraction
+            assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+            assert gcd(g.numerator, g.denominator) == 1
+            assert g.denominator > 0
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_matches_quad_element_operators(self, p):
+        field = QuadraticExtension(p)
+        rng = random.Random(71 + p)
+        xs = _quad_operands(rng, p)
+        pairs = [(x, y) for x in xs[:12] for y in xs[:12]]
+        pairs += list(zip(xs, reversed(xs)))
+        pairs += [(rng.choice(xs), rng.choice(xs)) for _ in range(200)]
+        for x, y in pairs:
+            qx, qy = field.check(x), field.check(y)
+            self._assert_normal(field.add(x, y), qx + qy)
+            self._assert_normal(field.sub(x, y), qx - qy)
+            self._assert_normal(field.mul(x, y), qx * qy)
+        for x in xs:
+            qx = field.check(x)
+            self._assert_normal(field.neg(x), -qx)
+            assert field.is_zero(x) == qx.is_zero()
+            if qx.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    field.inv(x)
+            else:
+                self._assert_normal(field.inv(x), qx.inverse())
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, QuadElement(7, 1, 0)], ids=repr)
+    def test_rejects_bool_float_and_foreign_p(self, bad):
+        one = E5.one()
+        for method in (E5.add, E5.sub, E5.mul):
+            with pytest.raises(ValueError):
+                method(bad, one)
+            with pytest.raises(ValueError):
+                method(one, bad)
+        for method in (E5.neg, E5.inv, E5.is_zero):
+            with pytest.raises(ValueError):
+                method(bad)
+
+
+class TestDigitsOf:
+    """The split ``_digits_of`` against a plain divmod loop."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_divmod_loop(self, p):
+        rng = random.Random(80 + p)
+        cut = basefields._DIGITS_CUTOFF
+        for count in (1, cut - 1, cut, cut + 1, 1000, 10_000):
+            m = p ** count
+            for n in (0, m - 1, rng.randrange(m), rng.randrange(m * p ** 7)):
+                got = _digits_of(n, p, count)
+                assert got == _plain_digits(n, p, count), (p, count)
+                total = 0
+                for d in reversed(got):
+                    total = total * p + d
+                assert total == n % m, (p, count)
+
+
+class TestWindowReferees:
+    """``expand`` and ``from_approximation`` against the Fraction formulas,
+    for shifts -12..12."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rational_expand(self, p):
+        field = PadicRationals(p)
+        rng = random.Random(90 + p)
+
+        def unit_int():
+            while True:
+                k = rng.randint(1, 10 ** 9)
+                if k % p:
+                    return k
+
+        for shift in range(-12, 13):
+            for n in (1, 7, 40):
+                x = Fraction(rng.choice((-1, 1)) * unit_int(), unit_int()) * Fraction(p) ** shift
+                u = x / Fraction(p) ** shift
+                m = p ** n
+                val = u.numerator * pow(u.denominator, -1, m) % m
+                assert field.expand(x, n) == Approximation(shift, _plain_digits(val, p, n), p)
+
+    @pytest.mark.parametrize(
+        "kind, p", [("rational", p) for p in (2, 3, 5, 7)] + [("quadratic", 5), ("quadratic", 7)]
+    )
+    def test_from_approximation(self, kind, p):
+        # the referees _resum and _direct_quadratic are defined with the
+        # field-constant tests below
+        field = make_field(kind, p)
+        direct = _resum if kind == "rational" else _direct_quadratic
+        rng = random.Random(100 + p)
+        for shift in range(-12, 13):
+            for length in (0, 1, 5, 30):
+                digits = tuple(rng.randrange(p) for _ in range(length))
+                want = direct(p, shift, digits)
+                assert field.from_approximation(Approximation(shift, digits, p)) == want
+
+
+_WINDOW_FIELDS = [Q2, Q5, RationalFunctions(3), F5T, E5, QuadraticExtension(7)]
+
+
+class TestTrustedWindow:
+    """``expand`` builds its window without re-checking the digits; the
+    window must equal, and hash like, the publicly constructed one."""
+
+    @pytest.mark.parametrize("field", _WINDOW_FIELDS, ids=lambda f: f"{f.kind}-{f.p}")
+    def test_expand_matches_public_constructor(self, field):
+        rng = random.Random(field.p)
+        xs = [field.zero(), field.one()] + [field.random_nonzero(rng) for _ in range(30)]
+        for x in xs:
+            for n in (1, 5, 17):
+                got = field.expand(x, n)
+                public = Approximation(got.shift, got.digits, got.p)
+                assert got == public and hash(got) == hash(public)
+                assert type(got.shift) is int and type(got.digits) is tuple
+                assert len(got.digits) == n
+                assert all(type(d) is int and 0 <= d < field.p for d in got.digits)
+
+    def test_public_constructor_rejects_out_of_range_digits(self):
+        for digits in ((5,), (-1,), (0, 7)):
+            with pytest.raises(ValueError, match="0..p-1"):
+                Approximation(0, digits, 5)
+
+
 class TestValuation:
     def test_examples(self):
         assert Q5.valuation(50) == 2
@@ -436,7 +588,7 @@ def hensel_sqrt(p, c, seed, n):
         x = (x + cmod * pow(x, -1, m)) * pow(2, -1, m) % m
     if (x * x - cmod) % modulus != 0:
         raise AssertionError("lift failed to verify")
-    return Approximation(0, _digits_of(x, p, n), p)
+    return Approximation(0, _plain_digits(x, p, n), p)
 
 
 class TestHensel:

@@ -35,6 +35,42 @@ from hypertower.suites import definitional_member, lee_suite, reduced_rationals
 Q5 = PadicRationals(5)
 
 
+
+class _CountingQ5(PadicRationals):
+    """Q_5 that counts its valuation calls."""
+
+    def __init__(self):
+        super().__init__(5)
+        self.valuations = 0
+
+    def valuation(self, x):
+        self.valuations += 1
+        return super().valuation(x)
+
+
+class TestValueOnce:
+    def test_class_values_once(self):
+        f = _CountingQ5()
+        c = coset_of(f, Fraction(50, 3), 2)
+        assert c.value() == 2 and c.value() == 2
+        assert f.valuations == 1
+
+    def test_project_hands_on_a_computed_value(self):
+        f = _CountingQ5()
+        c = coset_of(f, 75, 4)
+        low = project(c, 1)  # c has no value yet, so low computes its own
+        assert low.value() == 2 and c.value() == 2
+        assert f.valuations == 2
+        assert project(c, 0).value() == 2 and project(project(c, 3), 0).value() == 2
+        assert f.valuations == 2
+
+    def test_from_field_values_once(self):
+        f = _CountingQ5()
+        e = from_field(f, Fraction(3, 25))
+        assert f.valuations == 1
+        assert [e.at(g).value() for g in (5, 2, 7, 0)] == [-2] * 4
+        assert f.valuations == 1
+
 def coset_neg(a):
     return GammaCoset(a.field, a.level, a.field.neg(a.rep))
 

@@ -170,6 +170,41 @@ class TestArith:
                 assert limit_eq(prod_sum, sum_prod, 12).equal
 
 
+
+class TestZeroResults:
+    """A zero result claims exactness only when a zero operand is exact."""
+
+    @staticmethod
+    def _zero_chain():
+        return from_cosets(Q5, lambda level: coset_of(Q5, 0, level))
+
+    @staticmethod
+    def _assert_inexact_zero(out, op):
+        assert out.exact is False
+        assert out.provenance == {"kind": "arith", "op": op}
+        assert out.valuation() is INF
+        assert all(out.at(g).is_zero() for g in range(4))
+
+    def test_inexact_zero_times_exact(self):
+        chain, three = self._zero_chain(), from_field(Q5, 3)
+        for args in ((chain, three), (three, chain)):
+            out, _ = limit_arith("mul", *args)
+            self._assert_inexact_zero(out, "mul")
+
+    def test_inexact_zero_plus_itself(self):
+        chain = self._zero_chain()
+        out, _ = limit_arith("add", chain, chain)
+        self._assert_inexact_zero(out, "add")
+        out, _ = limit_arith("add", zero_element(Q5), chain)
+        self._assert_inexact_zero(out, "add")
+
+    def test_exact_zero_operand_stays_exact(self):
+        chain, z = self._zero_chain(), zero_element(Q5)
+        cases = [("mul", z, chain), ("mul", chain, z), ("mul", z, from_field(Q5, 3)), ("add", z, z)]
+        for op, a, b in cases:
+            out, _ = limit_arith(op, a, b)
+            assert out.exact is True and out.valuation() is INF, (op, a.exact, b.exact)
+
 def _derived_cases():
     """Name -> (op, operands) over seeded inputs, built fresh per call."""
     rng = random.Random(11)

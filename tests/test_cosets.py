@@ -35,7 +35,6 @@ from hypertower.suites import definitional_member, lee_suite, reduced_rationals
 Q5 = PadicRationals(5)
 
 
-
 class _CountingQ5(PadicRationals):
     """Q_5 that counts its valuation calls."""
 
@@ -70,6 +69,7 @@ class TestValueOnce:
         assert f.valuations == 1
         assert [e.at(g).value() for g in (5, 2, 7, 0)] == [-2] * 4
         assert f.valuations == 1
+
 
 def coset_neg(a):
     return GammaCoset(a.field, a.level, a.field.neg(a.rep))

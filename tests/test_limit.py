@@ -170,7 +170,6 @@ class TestArith:
                 assert limit_eq(prod_sum, sum_prod, 12).equal
 
 
-
 class TestZeroResults:
     """A zero result claims exactness only when a zero operand is exact."""
 
@@ -204,6 +203,7 @@ class TestZeroResults:
         for op, a, b in cases:
             out, _ = limit_arith(op, a, b)
             assert out.exact is True and out.valuation() is INF, (op, a.exact, b.exact)
+
 
 def _derived_cases():
     """Name -> (op, operands) over seeded inputs, built fresh per call."""

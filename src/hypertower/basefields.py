@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul as _mul
 
 from .oag import INF, _exact_index
 
 __all__ = [
     "Approximation",
-    "FpPoly",
     "RatFunc",
     "QuadElement",
     "ValuedField",
@@ -185,87 +185,36 @@ class Approximation:
         return {"shift": self.shift, "digits": list(self.digits), "p": self.p}
 
 
-class FpPoly:
-    """Dense polynomial over GF(p): little-endian coefficients, no trailing zeros."""
+def _trim(cs):
+    """A coefficient list without trailing zeros, as a tuple."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
-    __slots__ = ("p", "coeffs")
 
-    def __init__(self, p, coeffs=()):
-        cs = [_exact_index(c, "a coefficient") % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.p = p
-        self.coeffs = tuple(cs)
+def _order(cs):
+    """Index of the lowest nonzero coefficient of a nonzero tuple."""
+    return next(i for i, c in enumerate(cs) if c)
 
-    @classmethod
-    def _reduced(cls, p, coeffs):
-        """Wrap a tuple already reduced mod p and trimmed, without re-checking."""
-        poly = object.__new__(cls)
-        poly.p = p
-        poly.coeffs = coeffs
-        return poly
 
-    @classmethod
-    def constant(cls, p, c):
-        return cls(p, (c,))
+def _poly_text(cs):
+    """A coefficient tuple written as a polynomial in t, lowest term first."""
+    terms = []
+    for i, c in enumerate(cs):
+        if not c:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        elif i == 1:
+            terms.append("t" if c == 1 else f"{c}*t")
+        else:
+            terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
+    return " + ".join(terms) or "0"
 
-    def is_zero(self):
-        return not self.coeffs
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def order(self):
-        """Index of the lowest nonzero coefficient; None for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def __add__(self, other):
-        a, b, p = self.coeffs, other.coeffs, self.p
-        if len(a) < len(b):
-            a, b = b, a
-        cs = [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):])
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return FpPoly._reduced(p, tuple(cs))
-
-    def __neg__(self):
-        p = self.p
-        return FpPoly._reduced(p, tuple([-c % p for c in self.coeffs]))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return FpPoly._reduced(self.p, _poly_mul(self.coeffs, other.coeffs, self.p))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpPoly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("t" if c == 1 else f"{c}*t")
-            else:
-                terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        return " + ".join(terms)
+def _poly_add(a, b, p, sign=1):
+    """a + sign * b over GF(p), for reduced, trimmed tuples."""
+    return _trim([(x + sign * y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _poly_mul(a, b, p):
@@ -306,10 +255,7 @@ def _poly_div(a, b, p, quotient=False):
                 a[off + j] -= f * b[j]
     if quotient:
         return tuple(q)
-    r = [c % p for c in a[:db]]
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(r)
+    return _trim([c % p for c in a[:db]])
 
 
 def _cancel(a, b, p):
@@ -333,87 +279,48 @@ def _monic(p, n, d):
     return tuple([c * inv % p for c in n]), tuple([c * inv % p for c in d])
 
 
+def _lowest_terms(p, n, d):
+    """n/d, for reduced, trimmed tuples with d nonzero, as a coprime
+    numerator and a monic denominator; (1,) is the denominator of zero."""
+    return _monic(p, *_cancel(n, d, p)) if n else ((), (1,))
+
+
 class RatFunc:
-    """Reduced ratio of GF(p)[t] polynomials with a monic denominator; sums
-    and products follow Henrici's rule, as ``fractions.Fraction`` does."""
+    """An element of GF(p)(t) in normal form: ``num`` and ``den`` are
+    coprime little-endian coefficient tuples, reduced mod p and trimmed,
+    and ``den`` is monic.  ``RationalFunctions`` does the arithmetic."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("p", "num", "den")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = FpPoly.constant(num.p, 1)
-        if num.p != den.p:
-            raise ValueError("mixed characteristics")
-        if den.is_zero():
+    def __init__(self, p, num, den=(1,)):
+        n, d = (_trim([_exact_index(c, "a coefficient") % p for c in cs]) for cs in (num, den))
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        p, n, d = den.p, num.coeffs, den.coeffs
-        n, d = _monic(p, *_cancel(n, d, p)) if n else ((), (1,))
-        self.num, self.den = FpPoly._reduced(p, n), FpPoly._reduced(p, d)
+        self.p = p
+        self.num, self.den = _lowest_terms(p, n, d)
 
     @classmethod
     def _normal(cls, p, n, d):
         """Wrap a coprime numerator and a monic denominator as they are."""
         x = object.__new__(cls)
-        x.num, x.den = FpPoly._reduced(p, n), FpPoly._reduced(p, d if n else (1,))
+        x.p, x.num, x.den = p, n, d if n else (1,)
         return x
-
-    @property
-    def p(self):
-        return self.den.p
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def t_order(self):
-        if self.is_zero():
-            return INF
-        return self.num.order() - self.den.order()
-
-    def __add__(self, other):
-        # with g = gcd(b, d), a/b + c/d = (a(d/g) + c(b/g)) / ((b/g)d), which
-        # is already reduced when g = 1
-        p = self.p
-        b, d = _cancel(self.den.coeffs, other.den.coeffs, p)
-        num = self.num * FpPoly._reduced(p, d) + other.num * FpPoly._reduced(p, b)
-        den = FpPoly._reduced(p, _poly_mul(b, other.den.coeffs, p))
-        if len(b) == len(self.den.coeffs):
-            return RatFunc._normal(p, num.coeffs, den.coeffs)
-        return RatFunc(num, den)
-
-    def __neg__(self):
-        return RatFunc._normal(self.p, (-self.num).coeffs, self.den.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        # cancel gcd(a, d) and gcd(c, b) first: (a/b)(c/d) is then reduced
-        p, a, b = self.p, self.num.coeffs, self.den.coeffs
-        c, d = other.num.coeffs, other.den.coeffs
-        if not a or not c:
-            return RatFunc._normal(p, (), (1,))
-        (a, d), (c, b) = _cancel(a, d, p), _cancel(c, b, p)
-        return RatFunc._normal(p, *_monic(p, _poly_mul(a, c, p), _poly_mul(b, d, p)))
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RatFunc._normal(self.p, *_monic(self.p, self.den.coeffs, self.num.coeffs))
 
     def __eq__(self, other):
         return (
             isinstance(other, RatFunc)
+            and self.p == other.p
             and self.num == other.num
             and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.p, self.num, self.den))
 
     def __repr__(self):
-        if self.den.degree == 0:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+        if len(self.den) == 1:
+            return _poly_text(self.num)
+        return f"({_poly_text(self.num)})/({_poly_text(self.den)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -489,34 +396,18 @@ def _ratio_sum(n1, d1, n2, d2):
 class ValuedField:
     """Shared plumbing for the supported exact valued fields.
 
-    A field class defines ``kind`` and these methods:
+    A field class defines ``kind`` and the whole surface of its elements:
+    ``check(x)`` (its own elements pass, an int, and a ``Fraction`` where
+    the field contains Q, converts, anything else is a ``ValueError``),
+    the JSON parser ``element(obj)``, the arithmetic ``add``, ``sub``,
+    ``neg``, ``mul``, ``inv`` and ``is_zero``, ``valuation(x)``,
+    ``sub_valuation(x, y)`` for v(x - y), ``expand(x, n)`` for the first n
+    digits as an ``Approximation``, ``random_element(rng, height)`` and
+    ``to_json(x)``.
 
-    * ``check(x)`` -- x as an element of the field: its own elements pass,
-      an int (and a ``Fraction`` where the field contains Q) converts,
-      anything else is a ``ValueError``;
-    * ``element(obj)`` -- the parser for JSON input;
-    * ``valuation(x)``, ``sub_valuation(x, y)`` -- v(x) and v(x - y);
-    * ``expand(x, n)`` -- the first n digits of x as an ``Approximation``;
-    * ``random_element(rng, height)`` and ``to_json(x)``.
-
-    Everything else is written here once, through ``check`` and the
-    element type's own ``+``, ``-``, ``*``, ``is_zero`` and ``inverse``:
-    ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``is_zero``, the constants
-    ``zero``, ``one``, ``unit_digit`` and ``uniformizer_pow``,
-    ``from_approximation`` (a Horner resum on integers), ``random_nonzero``
-    and ``descriptor``.
-    ``PadicRationals`` overrides ``is_zero``, as a ``Fraction`` has no such
-    method, and ``add``, ``sub``, ``mul`` and ``inv``, which cross-multiply
-    the integer numerators and denominators and normalize once in
-    ``Fraction(n, d)`` instead of going through ``Fraction``'s operator
-    dispatch.  ``QuadraticExtension`` overrides ``add``, ``sub``, ``neg``,
-    ``mul``, ``inv`` and ``is_zero`` the same way, one ``Fraction(n, d)``
-    per component, and wraps the result without re-running
-    ``QuadElement.__post_init__``.  ``RationalFunctions`` overrides
-    ``uniformizer_pow`` and ``from_approximation``, as its uniformizer is
-    t, not p.  Every ``expand`` builds its window of in-range ints through
-    the trusted ``Approximation._trusted``; the public constructor still
-    checks every digit.
+    The base gives, through those, the constants ``zero``, ``one``,
+    ``unit_digit`` and ``uniformizer_pow``, ``from_approximation`` (a
+    Horner resum on integers), ``random_nonzero`` and ``descriptor``.
     """
 
     kind = None
@@ -540,27 +431,6 @@ class ValuedField:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.p})"
-
-    def check(self, x):
-        raise NotImplementedError
-
-    def add(self, x, y):
-        return self.check(x) + self.check(y)
-
-    def sub(self, x, y):
-        return self.check(x) - self.check(y)
-
-    def neg(self, x):
-        return -self.check(x)
-
-    def mul(self, x, y):
-        return self.check(x) * self.check(y)
-
-    def inv(self, x):
-        return self.check(x).inverse()
-
-    def is_zero(self, x):
-        return self.check(x).is_zero()
 
     def zero(self):
         return self.check(0)
@@ -627,9 +497,9 @@ class PadicRationals(ValuedField):
     def is_zero(self, x):
         return not self.check(x)
 
-    # one normalization in the public Fraction(n, d) per result, as the
-    # ValuedField docstring says; Fraction's private fast paths changed
-    # between Python versions
+    # one normalization in the public Fraction(n, d) per result, instead of
+    # Fraction's operators, whose private fast paths changed between
+    # Python versions
     def add(self, x, y):
         if type(x) is not Fraction:
             x = self.check(x)
@@ -645,6 +515,9 @@ class PadicRationals(ValuedField):
             y = self.check(y)
         xd, yd = x.denominator, y.denominator
         return Fraction(x.numerator * yd - y.numerator * xd, xd * yd)
+
+    def neg(self, x):
+        return -self.check(x)
 
     def mul(self, x, y):
         if type(x) is not Fraction:
@@ -720,7 +593,7 @@ class RationalFunctions(ValuedField):
         if isinstance(x, RatFunc) and x.p == self.p:
             return x
         if isinstance(x, int) and not isinstance(x, bool):
-            return RatFunc(FpPoly.constant(self.p, x))
+            return RatFunc(self.p, (x,))
         raise ValueError(f"not a function-field element: {x!r}")
 
     def element(self, obj):
@@ -730,26 +603,68 @@ class RationalFunctions(ValuedField):
             extra = set(obj) - {"num", "den"}
             if extra:
                 raise ValueError(f"unknown function-field keys: {sorted(extra)!r}")
-            num = FpPoly(self.p, _int_coeffs(obj.get("num", ())))
-            den = FpPoly(self.p, _int_coeffs(obj.get("den", (1,))))
-            return RatFunc(num, den)
+            num, den = _int_coeffs(obj.get("num", ())), _int_coeffs(obj.get("den", (1,)))
+            return RatFunc(self.p, num, den)
         if isinstance(obj, (list, tuple)):
-            return RatFunc(FpPoly(self.p, _int_coeffs(obj)))
+            return RatFunc(self.p, _int_coeffs(obj))
         raise ValueError(f"cannot parse function-field element from {obj!r}")
 
-    def poly(self, *coeffs):
-        return RatFunc(FpPoly(self.p, coeffs))
+    # arithmetic on the coefficient tuples of the normal forms; sums and
+    # products follow Henrici's rule, as fractions.Fraction does
+    def _parts(self, x):
+        """(num, den) of x, checked as an element."""
+        if type(x) is not RatFunc or x.p != self.p:
+            x = self.check(x)
+        return x.num, x.den
+
+    def _sum(self, x, y, sign):
+        # with g = gcd(b, d), a/b + c/d = (a(d/g) + c(b/g)) / ((b/g)d), which
+        # is already reduced when g = 1
+        (a, b), (c, d), p = self._parts(x), self._parts(y), self.p
+        bg, dg = _cancel(b, d, p)
+        num = _poly_add(_poly_mul(a, dg, p), _poly_mul(c, bg, p), p, sign)
+        den = _poly_mul(bg, d, p)
+        if len(bg) == len(b):
+            return RatFunc._normal(p, num, den)
+        return RatFunc._normal(p, *_lowest_terms(p, num, den))
+
+    def add(self, x, y):
+        return self._sum(x, y, 1)
+
+    def sub(self, x, y):
+        return self._sum(x, y, -1)
+
+    def neg(self, x):
+        n, d = self._parts(x)
+        p = self.p
+        return RatFunc._normal(p, tuple([-c % p for c in n]), d)
+
+    def mul(self, x, y):
+        # cancel gcd(a, d) and gcd(c, b) first: (a/b)(c/d) is then reduced
+        (a, b), (c, d), p = self._parts(x), self._parts(y), self.p
+        if not a or not c:
+            return RatFunc._normal(p, (), (1,))
+        (a, d), (c, b) = _cancel(a, d, p), _cancel(c, b, p)
+        return RatFunc._normal(p, *_monic(p, _poly_mul(a, c, p), _poly_mul(b, d, p)))
+
+    def inv(self, x):
+        n, d = self._parts(x)
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        return RatFunc._normal(self.p, *_monic(self.p, d, n))
+
+    def is_zero(self, x):
+        return not self._parts(x)[0]
 
     def valuation(self, x):
-        return self.check(x).t_order()
+        n, d = self._parts(x)
+        return _order(n) - _order(d) if n else INF
 
     def sub_valuation(self, x, y):
         # normal forms are unique, so equal operands differ by zero; else
         # the t-order of x - y is the lowest nonzero coefficient of the
         # cross difference xn*yd - yn*xd, found without forming the product
-        x, y = self.check(x), self.check(y)
-        xn, xd = x.num.coeffs, x.den.coeffs
-        yn, yd = y.num.coeffs, y.den.coeffs
+        (xn, xd), (yn, yd) = self._parts(x), self._parts(y)
         if xn == yn and xd == yd:
             return INF
         p = self.p
@@ -761,7 +676,7 @@ class RationalFunctions(ValuedField):
         for k in range(top):
             s = top - 1 - k
             if (sum(map(_mul, xr[s:], yd)) - sum(map(_mul, yr[s:], xd))) % p:
-                return k - x.den.order() - y.den.order()
+                return k - _order(xd) - _order(yd)
         return INF
 
     def _t_times(self, e, unit):
@@ -779,11 +694,11 @@ class RationalFunctions(ValuedField):
         """First n Laurent coefficients of x at t = 0."""
         if n < 1:
             raise ValueError("precision must be >= 1")
-        x = self.check(x)
-        if x.is_zero():
+        num, den = self._parts(x)
+        if not num:
             return Approximation._trusted(0, (0,) * n, self.p)
-        on, od = x.num.order(), x.den.order()
-        nn, dd = x.num.coeffs[on:on + n], x.den.coeffs[od:]
+        on, od = _order(num), _order(den)
+        nn, dd = num[on:on + n], den[od:]
         nn += (0,) * (n - len(nn))
         inv0 = pow(dd[0], -1, self.p)
         coeffs = []
@@ -804,15 +719,16 @@ class RationalFunctions(ValuedField):
         return self._t_times(appr.shift + lo, appr.digits[lo:hi + 1])
 
     def random_element(self, rng, height=50, degree=3):
-        num = FpPoly(self.p, [rng.randrange(self.p) for _ in range(degree + 1)])
+        p = self.p
+        num = [rng.randrange(p) for _ in range(degree + 1)]
         while True:
-            den = FpPoly(self.p, [rng.randrange(self.p) for _ in range(degree + 1)])
-            if not den.is_zero():
-                return RatFunc(num, den)
+            den = [rng.randrange(p) for _ in range(degree + 1)]
+            if any(den):
+                return RatFunc(p, num, den)
 
     def to_json(self, x):
-        x = self.check(x)
-        return {"num": list(x.num.coeffs), "den": list(x.den.coeffs)}
+        n, d = self._parts(x)
+        return {"num": list(n), "den": list(d)}
 
 
 class QuadraticExtension(ValuedField):

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
 from . import suites
@@ -65,6 +66,11 @@ def _field_of(args):
 
 
 def _parse_element(field, text):
+    # Python's parsers refuse an integer past its int-to-str conversion
+    # limit with advice about an interpreter setting; name the limit here
+    limit = sys.get_int_max_str_digits()
+    if limit and re.search(rf"\d{{{limit + 1}}}", text):
+        raise ValueError(f"malformed element: integers are limited to {limit:,} digits")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:

@@ -342,9 +342,10 @@ def _add_elements(a, b):
                     vs, discovered = v, level
                     break
         if vs is None:
-            # indistinguishable from zero within the probe bound
-            out = zero_element(field)
-            out.provenance = {"kind": "arith", "op": "add", "apparent_zero_at": ZERO_PROBE}
+            # indistinguishable from zero within the probe bound, which
+            # does not prove the sum is zero
+            out = _zero_result("add", field, False, ledger)
+            out.provenance["apparent_zero_at"] = ZERO_PROBE
             return out, ledger
 
     ledger = ledger.merged(extra=LossEntry("add", m, vs, discovered))

@@ -376,8 +376,9 @@ _PAIRS = [LevelPair(a, b) for a in range(4) for b in range(a, 4)]
 def _over_field(suite):
     """Builder for a suite run over the field kind it is given.
 
-    Elements are drawn with numerators and denominators up to the height,
-    so the height must be at least 1.
+    Over Q and Q(r), elements are drawn with numerators and denominators
+    up to the height, so the height must be at least 1.  Over F_p(t) the
+    draws ignore the height: numerators and denominators have degree 3.
     """
     name = suite.__name__.strip("_").replace("_", "-")
 

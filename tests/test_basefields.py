@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hypertower.oag import INF
 from hypertower.basefields import (
+    ValuedField,
     _MR_BOUND,
     Approximation,
-    FpPoly,
     PadicRationals,
     QuadElement,
     QuadraticExtension,
@@ -20,6 +20,7 @@ from hypertower.basefields import (
     padic_valuation,
     _digits_of,
     _is_prime,
+    _poly_add,
     _poly_div,
     make_field,
 )
@@ -37,15 +38,21 @@ class TestArith:
 
     def test_function_field_mul(self):
         # (t+1)(t-1) = t^2 - 1 = t^2 + 4 over GF(5)
-        a = F5T.poly(1, 1)
-        b = F5T.poly(-1, 1)
-        assert F5T.mul(a, b) == F5T.poly(4, 0, 1)
+        a = F5T.element([1, 1])
+        b = F5T.element([-1, 1])
+        assert F5T.mul(a, b) == F5T.element([4, 0, 1])
 
     def test_quadratic_inv(self):
         # (0 + 1*r)^-1 = r/6 when r*r = 6
         alpha = E5.generator()
         assert E5.inv(alpha) == QuadElement(5, 0, Fraction(1, 6))
         assert E5.mul(alpha, E5.inv(alpha)) == E5.one()
+
+    def test_each_field_owns_its_arithmetic(self):
+        names = {"add", "sub", "neg", "mul", "inv", "is_zero"}
+        assert not names & set(vars(ValuedField))
+        for field in (Q5, F5T, E5):
+            assert names <= set(vars(type(field))), field.kind
 
     def test_inv_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -305,12 +312,12 @@ class TestValuation:
                 padic_valuation(bad, 2)
 
     def test_function_field(self):
-        t = F5T.poly(0, 1)
+        t = F5T.element([0, 1])
         assert F5T.valuation(t) == 1
         assert F5T.valuation(F5T.zero()) is INF
-        x = F5T.mul(F5T.poly(0, 0, 3), F5T.inv(F5T.poly(0, 1)))  # 3t^2 / t
+        x = F5T.mul(F5T.element([0, 0, 3]), F5T.inv(F5T.element([0, 1])))  # 3t^2 / t
         assert F5T.valuation(x) == 1
-        assert F5T.valuation(F5T.inv(F5T.poly(0, 0, 1))) == -2
+        assert F5T.valuation(F5T.inv(F5T.element([0, 0, 1]))) == -2
 
     def test_quadratic(self):
         # 2 + 3r with r = 1 mod 5: image is 2 + 3*16 = 50 mod 125
@@ -353,9 +360,9 @@ def test_valuation_ultrametric(x, y):
 def test_val_axioms_function_field(a, b, c, d):
     x = F5T.element([a, b, 1])
     y = F5T.element([c, d])
-    vs = F5T.valuation(x + y)
+    vs = F5T.valuation(F5T.add(x, y))
     assert vs >= min(F5T.valuation(x), F5T.valuation(y))
-    assert F5T.valuation(x * y) == F5T.valuation(x) + F5T.valuation(y)
+    assert F5T.valuation(F5T.mul(x, y)) == F5T.valuation(x) + F5T.valuation(y)
 
 
 class TestIntValuation:
@@ -518,11 +525,11 @@ class TestExpand:
     def test_geometric_series(self):
         # 1/(1-t) = 1 + t + t^2 + ...
         one = F5T.one()
-        x = F5T.inv(F5T.poly(1, -1))
+        x = F5T.inv(F5T.element([1, -1]))
         assert F5T.expand(x, 5) == Approximation(0, (1, 1, 1, 1, 1), 5)
 
     def test_laurent_shift(self):
-        x = F5T.mul(F5T.poly(2), F5T.inv(F5T.poly(0, 0, 1)))  # 2/t^2
+        x = F5T.mul(F5T.element([2]), F5T.inv(F5T.element([0, 0, 1])))  # 2/t^2
         assert F5T.expand(x, 3) == Approximation(-2, (2, 0, 0), 5)
 
     def test_quadratic_expand(self):
@@ -547,8 +554,8 @@ class TestExpand:
             x = F5T.random_nonzero(rng)
             appr = F5T.expand(x, 8)
             back = F5T.from_approximation(appr)
-            diff = x - back
-            if diff.is_zero():
+            diff = F5T.sub(x, back)
+            if F5T.is_zero(diff):
                 continue
             assert F5T.valuation(diff) > appr.shift + 7
 
@@ -694,77 +701,108 @@ class TestPrimality:
             _is_prime(_MR_BOUND)
 
 
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _reduce(cs, p):
+    return _trimmed(int(c) % p for c in cs)
+
+
+def _conv(a, b, p):
+    """Schoolbook product of coefficient sequences, reduced mod p and
+    trimmed; kept apart from _poly_mul."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _reduce(out, p)
+
+
+def _combine(a, b, p, sign=1):
+    """a + sign * b coefficientwise, reduced mod p and trimmed; kept apart
+    from _poly_add."""
+    width = max(len(a), len(b))
+    a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
+    return _reduce([x + sign * y for x, y in zip(a, b)], p)
+
+
 class TestPolyAlgebra:
     """Division over GF(p)[t] as RatFunc normalizes: ``_poly_div`` gives
     the remainder, or with ``quotient`` the quotient."""
 
     def test_divmod(self):
-        a = FpPoly(5, (1, 0, 1))  # 1 + t^2
-        b = FpPoly(5, (1, 1))     # 1 + t
-        r = _poly_div(a.coeffs, b.coeffs, 5)
-        q = _poly_div(a.coeffs, b.coeffs, 5, quotient=True)
-        assert q == _poly_div((a - FpPoly(5, r)).coeffs, b.coeffs, 5, quotient=True)
+        a = (1, 0, 1)  # 1 + t^2
+        b = (1, 1)     # 1 + t
+        r = _poly_div(a, b, 5)
+        q = _poly_div(a, b, 5, quotient=True)
+        assert q == _poly_div(_combine(a, r, 5, -1), b, 5, quotient=True)
         assert (q, r) == ((4, 1), (2,))  # 1 + t^2 = (t - 1)(t + 1) + 2
-        assert FpPoly(5, q) * b + FpPoly(5, r) == a
+        assert _combine(_conv(q, b, 5), r, 5) == a
 
     def test_gcd_monic(self):
         # 2t(1+t) / 3t: the common factor t cancels, 1/3 = 2 mod 5
-        x = RatFunc(FpPoly(5, (0, 2, 2)), FpPoly(5, (0, 3)))
-        assert (x.num.coeffs, x.den.coeffs) == ((4, 4), (1,))
+        x = RatFunc(5, (0, 2, 2), (0, 3))
+        assert (x.p, x.num, x.den) == (5, (4, 4), (1,))
         # 2(1+t)(2+t) / 3(1+t)(3+t) = (3 + 4t) / (3 + t), a non-monic gcd
-        one_t = FpPoly(5, (1, 1))
+        one_t = (1, 1)
         y = RatFunc(
-            one_t * FpPoly(5, (2, 1)) * FpPoly.constant(5, 2),
-            one_t * FpPoly(5, (3, 1)) * FpPoly.constant(5, 3),
+            5,
+            _conv(_conv(one_t, (2, 1), 5), (2,), 5),
+            _conv(_conv(one_t, (3, 1), 5), (3,), 5),
         )
-        assert (y.num.coeffs, y.den.coeffs) == ((3, 4), (3, 1))
+        assert (y.num, y.den) == ((3, 4), (3, 1))
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         t = sympy.symbols("t")
         rng = random.Random(31)
 
-        def to_sympy(f):
-            return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=f.p)
-
-        def from_sympy(g, p):
-            # sympy prints symmetric residues; FpPoly reduces them mod p
-            return FpPoly(p, reversed(g.all_coeffs()))
-
         for p in (2, 3, 5, 7):
+
+            def to_sympy(f):
+                return sympy.Poly(list(reversed(f)) or [0], t, modulus=p)
+
+            def from_sympy(g):
+                # sympy prints symmetric residues; _reduce takes them mod p
+                return _reduce(reversed(g.all_coeffs()), p)
+
             for _ in range(40):
                 a, b = _draw_poly(rng, p, 0, 8), _draw_poly(rng, p, 1, 6)
-                if b.is_zero():
+                if not b:
                     continue
                 sq, sr = divmod(to_sympy(a), to_sympy(b))
-                q, r = from_sympy(sq, p), from_sympy(sr, p)
-                assert _poly_div(a.coeffs, b.coeffs, p) == r.coeffs, (a, b)
-                assert _poly_div(a.coeffs, b.coeffs, p, quotient=True) == q.coeffs, (a, b)
-                assert _poly_div((q * b).coeffs, b.coeffs, p, quotient=True) == q.coeffs, (a, b)
+                q, r = from_sympy(sq), from_sympy(sr)
+                assert _poly_div(a, b, p) == r, (a, b)
+                assert _poly_div(a, b, p, quotient=True) == q, (a, b)
+                assert _poly_div(_conv(q, b, p), b, p, quotient=True) == q, (a, b)
 
     def test_ratfunc_reduction(self):
-        x = RatFunc(FpPoly(5, (0, 2, 2)), FpPoly(5, (0, 4)))
-        assert x == RatFunc(FpPoly(5, (3, 3)))  # (2t+2t^2)/4t = (2+2t)/4 = 3+3t
+        x = RatFunc(5, (0, 2, 2), (0, 4))
+        assert x == RatFunc(5, (3, 3))  # (2t+2t^2)/4t = (2+2t)/4 = 3+3t
 
     def test_zero_den(self):
         with pytest.raises(ZeroDivisionError):
-            RatFunc(FpPoly(5, (1,)), FpPoly(5))
+            RatFunc(5, (1,), (0, 5))
 
 
 def _draw_poly(rng, p, lo, hi):
-    return FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(lo, hi))])
+    return _reduce([rng.randrange(p) for _ in range(rng.randint(lo, hi))], p)
 
 
 def _draw_ratfunc_parts(rng, p):
     """A numerator and a nonzero denominator sharing a factor, often a
     power of t, so that normalization has something to cancel."""
     common = _draw_poly(rng, p, 1, 3)
-    if common.is_zero():
-        common = FpPoly(p, (0,) * rng.randint(1, 3) + (1,))
+    if not common:
+        common = (0,) * rng.randint(1, 3) + (1,)
     den = _draw_poly(rng, p, 1, 4)
-    if den.is_zero():
-        den = FpPoly(p, (0,) * rng.randint(0, 2) + (1,))
-    return _draw_poly(rng, p, 0, 5) * common, den * common
+    if not den:
+        den = (0,) * rng.randint(0, 2) + (1,)
+    return _conv(_draw_poly(rng, p, 0, 5), common, p), _conv(den, common, p)
 
 
 def _euclid_gcd(a, b, p):
@@ -790,73 +828,70 @@ def _euclid_gcd(a, b, p):
 
 
 class TestRatFunc:
-    """The coefficient-list normalization against independent routes."""
+    """The coefficient-tuple normalization against independent routes."""
 
     def test_normal_form(self):
         rng = random.Random(47)
         for p in (2, 3, 5, 7):
             for _ in range(60):
                 num, den = _draw_ratfunc_parts(rng, p)
-                x = RatFunc(num, den)
-                assert x.den.coeffs[-1] == 1
-                assert _euclid_gcd(x.num.coeffs, x.den.coeffs, p) == [1]
+                x = RatFunc(p, num, den)
+                assert x.p == p and x.den[-1] == 1
+                assert _euclid_gcd(x.num, x.den, p) == [1]
                 # the same element: x.num / x.den == num / den
-                assert x.num * den == num * x.den
-                if num.is_zero():
-                    assert x.den == FpPoly.constant(p, 1)
+                assert _conv(x.num, den, p) == _conv(num, x.den, p)
+                if not num:
+                    assert x.den == (1,)
 
     def test_arith_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         t = sympy.symbols("t")
         rng = random.Random(53)
 
-        def to_sympy(f):
-            return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=f.p)
-
         for p in (2, 3, 5, 7):
+            field = RationalFunctions(p)
+
+            def to_sympy(f):
+                return sympy.Poly(list(reversed(f)) or [0], t, modulus=p)
+
             for _ in range(30):
                 (an, ad), (bn, bd) = _draw_ratfunc_parts(rng, p), _draw_ratfunc_parts(rng, p)
-                x, y = RatFunc(an, ad), RatFunc(bn, bd)
+                x, y = RatFunc(p, an, ad), RatFunc(p, bn, bd)
                 san, sad, sbn, sbd = map(to_sympy, (an, ad, bn, bd))
-                # each result r = rn / rd must satisfy rn * ad * bd == rd * (the
-                # cross-multiplied numerator of the operation)
-                for r, want in (
-                    (x + y, san * sbd + sbn * sad),
-                    (x - y, san * sbd - sbn * sad),
-                    (x * y, san * sbn),
-                ):
-                    assert to_sympy(r.num) * sad * sbd == to_sympy(r.den) * want, (x, y)
-                    assert r.den.coeffs[-1] == 1
+                # each result r = rn / rd must satisfy rn * want_den == rd * want_num,
+                # the operation written on the drawn, unreduced operands
+                cases = [
+                    (field.add(x, y), san * sbd + sbn * sad, sad * sbd),
+                    (field.sub(x, y), san * sbd - sbn * sad, sad * sbd),
+                    (field.mul(x, y), san * sbn, sad * sbd),
+                    (field.neg(x), -san, sad),
+                ]
+                if an:
+                    cases.append((field.inv(x), sad, san))
+                for r, want_num, want_den in cases:
+                    assert to_sympy(r.num) * want_den == to_sympy(r.den) * want_num, (x, y)
+                    assert r.p == p and r.den[-1] == 1
                     assert to_sympy(r.num).gcd(to_sympy(r.den)).degree() <= 0
 
 
 class TestHenrici:
-    """RatFunc sums and products against the general constructor fed a
+    """F_p(t) sums and products against the general constructor fed a
     test-side cross-multiplication, and against sympy's cancellation."""
-
-    @staticmethod
-    def _conv(a, b, p):
-        # schoolbook product of coefficient tuples, kept apart from _poly_mul
-        out = [0] * max(len(a) + len(b) - 1, 0)
-        for i, c in enumerate(a):
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-        return FpPoly(p, out)
 
     @staticmethod
     def _operands(rng, p):
         # reduced pairs whose denominators do and do not share a factor,
         # and polynomials (constant denominators)
-        common = FpPoly(p, (rng.randrange(p), 1))
+        common = (rng.randrange(p), 1)
         mode = rng.choice(["polynomial", "shared", "drawn"])
         parts = []
         for k in range(2):
             num, den = _draw_ratfunc_parts(rng, p)
             if mode == "polynomial" and k == 0:
-                den = FpPoly.constant(p, 1)
+                den = (1,)
             elif mode == "shared":
-                den = den * common
-            parts.append(RatFunc(num, den))
+                den = _conv(den, common, p)
+            parts.append(RatFunc(p, num, den))
         return parts
 
     def test_matches_general_constructor_and_sympy(self):
@@ -865,9 +900,10 @@ class TestHenrici:
         rng = random.Random(61)
         shared = 0
         for p in (2, 3, 5, 7):
+            field = RationalFunctions(p)
 
             def to_sympy(f):
-                return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=p)
+                return sympy.Poly(list(reversed(f)) or [0], t, modulus=p)
 
             def cancel(num, den):
                 # sympy's lowest terms, scaled to a monic denominator
@@ -875,17 +911,17 @@ class TestHenrici:
                 num, den = num.exquo(g), den.exquo(g)
                 lead = den.LC()
                 num, den = num.exquo_ground(lead), den.exquo_ground(lead)
-                return FpPoly(p, reversed(num.all_coeffs())), FpPoly(p, reversed(den.all_coeffs()))
+                return _reduce(reversed(num.all_coeffs()), p), _reduce(reversed(den.all_coeffs()), p)
 
             for _ in range(60):
                 x, y = self._operands(rng, p)
-                a, b, c, d = (f.coeffs for f in (x.num, x.den, y.num, y.den))
+                a, b, c, d = x.num, x.den, y.num, y.den
                 shared += _euclid_gcd(b, d, p) != [1]
-                cross_add = (self._conv(a, d, p) + self._conv(c, b, p), self._conv(b, d, p))
-                cross_mul = (self._conv(a, c, p), self._conv(b, d, p))
-                for got, (num, den) in ((x + y, cross_add), (x * y, cross_mul)):
-                    assert got == RatFunc(num, den), (x, y)
-                    want = cancel(to_sympy(num), to_sympy(den)) if num.coeffs else (num, FpPoly(p, (1,)))
+                cross_add = (_combine(_conv(a, d, p), _conv(c, b, p), p), _conv(b, d, p))
+                cross_mul = (_conv(a, c, p), _conv(b, d, p))
+                for got, (num, den) in ((field.add(x, y), cross_add), (field.mul(x, y), cross_mul)):
+                    assert got == RatFunc(p, num, den), (x, y)
+                    want = cancel(to_sympy(num), to_sympy(den)) if num else (num, (1,))
                     assert (got.num, got.den) == want, (x, y)
         assert shared > 20
 
@@ -897,14 +933,15 @@ class TestHenrici:
             calls.append((a, b))
             return real(a, b, p, quotient)
 
-        x = RatFunc(FpPoly(5, (1, 2, 0, 3)), FpPoly(5, (2, 1, 1)))
-        y = F5T.poly(4, 0, 1, 1)
+        x = RatFunc(5, (1, 2, 0, 3), (2, 1, 1))
+        y = F5T.element([4, 0, 1, 1])
         monkeypatch.setattr(basefields, "_poly_div", counting)
-        total = (x + y, y + x, x - y)
+        total = (F5T.add(x, y), F5T.add(y, x), F5T.sub(x, y))
         assert calls == []
         monkeypatch.undo()
-        assert total[0] == total[1] == RatFunc(x.num + y.num * x.den, x.den)
-        assert total[2] == RatFunc(x.num - y.num * x.den, x.den)
+        cross = _conv(y.num, x.den, 5)
+        assert total[0] == total[1] == RatFunc(5, _combine(x.num, cross, 5), x.den)
+        assert total[2] == RatFunc(5, _combine(x.num, cross, 5, -1), x.den)
 
 
 class TestQuadraticValueShortCut:
@@ -948,8 +985,8 @@ class TestQuadraticValueShortCut:
     [
         lambda: QuadElement(5, 0.1, 0),
         lambda: QuadElement(5, 1, True),
-        lambda: FpPoly(5, (1.7, 1)),
-        lambda: FpPoly(5, (1, True)),
+        lambda: RatFunc(5, (1.7, 1)),
+        lambda: RatFunc(5, (1,), (1, True)),
         lambda: Approximation(0, (1.9,), 5),
         lambda: Approximation(0, (False,), 5),
     ],
@@ -963,7 +1000,8 @@ def test_float_or_bool_component_rejected(build):
 
 def test_index_types_still_accepted():
     sympy = pytest.importorskip("sympy")
-    assert FpPoly(5, (sympy.Integer(7), 1)) == FpPoly(5, (2, 1))
+    x = RatFunc(5, (sympy.Integer(7), 1), (sympy.Integer(3),))
+    assert x == RatFunc(5, (4, 2)) and all(type(c) is int for c in x.num + x.den)
     assert QuadElement(5, sympy.Integer(3), 0) == QuadElement(5, Fraction(3), Fraction(0))
     assert Approximation(0, (sympy.Integer(4),), 5).digits == (4,)
 
@@ -977,6 +1015,19 @@ class TestJson:
     def test_function_field(self):
         x = F5T.element({"num": [0, 1], "den": [1, 1]})
         assert F5T.to_json(x) == {"num": [0, 1], "den": [1, 1]}
+
+    @pytest.mark.parametrize(
+        "obj,text",
+        [
+            ({"num": [0, 2, 0, 1], "den": [1, 1]}, "(2*t + t^3)/(1 + t)"),
+            ([3, 0, 1], "3 + t^2"),
+            ([], "0"),
+            ({"num": [1], "den": [0, 0, 2]}, "(3)/(t^2)"),
+            ([0, 1], "t"),
+        ],
+    )
+    def test_function_field_repr(self, obj, text):
+        assert repr(F5T.element(obj)) == str(F5T.element(obj)) == text
 
     def test_quadratic(self):
         x = E5.element({"a": "1/2", "b": "3"})
@@ -1012,7 +1063,7 @@ class TestJson:
 
 # referees for the field constants: each builds the element
 # p^shift * sum(digits[i] * p^i) (t in place of p for F_p(t)) directly from
-# Fraction, QuadElement or RatFunc(FpPoly(...), FpPoly(...))
+# Fraction, QuadElement or RatFunc(p, num, den)
 def _resum(p, shift, digits):
     return sum((d * Fraction(p) ** (shift + i) for i, d in enumerate(digits)), Fraction(0))
 
@@ -1022,9 +1073,9 @@ def _direct_quadratic(p, shift, digits):
 
 
 def _direct_laurent(p, shift, digits):
-    num = FpPoly(p, (0,) * max(shift, 0) + tuple(digits))
-    den = FpPoly(p, (0,) * max(-shift, 0) + (1,))
-    return RatFunc(num, den)
+    num = (0,) * max(shift, 0) + tuple(digits)
+    den = (0,) * max(-shift, 0) + (1,)
+    return RatFunc(p, num, den)
 
 
 _HELPER_FIELDS = (
@@ -1088,13 +1139,6 @@ def _series_referee(num, den, p, n):
     return on - od, out
 
 
-def _trimmed(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 class TestFunctionFieldTuples:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_expand_matches_series_division(self, p):
@@ -1105,13 +1149,14 @@ class TestFunctionFieldTuples:
             den = [0] * rng.randint(0, 4) + [rng.randrange(p) for _ in range(rng.randint(1, 5))]
             if not any(c % p for c in den):
                 den.append(1)
-            x = RatFunc(FpPoly(p, num), FpPoly(p, den))
+            x = RatFunc(p, num, den)
             for n in range(1, 13):
                 shift, coeffs = _series_referee(num, den, p, n)
                 assert field.expand(x, n) == Approximation(shift, tuple(coeffs), p), (num, den, n)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_poly_sub_and_neg_match_coefficientwise(self, p):
+        field = RationalFunctions(p)
         rng = random.Random(200 + p)
         for _ in range(300):
             a = [rng.randint(-2 * p, 2 * p) for _ in range(rng.randint(0, 6))]
@@ -1121,6 +1166,9 @@ class TestFunctionFieldTuples:
             width = max(len(a), len(b))
             pa, pb = a + [0] * (width - len(a)), b + [0] * (width - len(b))
             want = _trimmed((x - y) % p for x, y in zip(pa, pb))
-            diff = FpPoly(p, a) - FpPoly(p, b)
-            assert diff.coeffs == want and diff.p == p
-            assert (-FpPoly(p, a)).coeffs == _trimmed(-x % p for x in a)
+            ra, rb = _trimmed(x % p for x in a), _trimmed(x % p for x in b)
+            assert _poly_add(ra, rb, p, -1) == want
+            assert _poly_add(rb, ra, p) == _trimmed((x + y) % p for x, y in zip(pa, pb))
+            diff = field.sub(RatFunc(p, a), RatFunc(p, b))
+            assert (diff.p, diff.num, diff.den) == (p, want, (1,))
+            assert field.neg(RatFunc(p, a)).num == _trimmed(-x % p for x in a)

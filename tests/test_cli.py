@@ -167,6 +167,33 @@ def test_exponent_notation_exits_two_fast(capsys, field, text):
 
 
 @pytest.mark.parametrize(
+    "field,text",
+    [
+        ("rational", "1" * 5001),
+        ("rational", f"[{'1' * 5001}, 2]"),
+        ("function", f"[{'1' * 5001}, 2]"),
+    ],
+    ids=["rational", "pair", "function-list"],
+)
+def test_long_integer_literal_exits_two(capsys, field, text):
+    # Python's own message would advise sys.set_int_max_str_digits(), an
+    # interpreter setting rather than a limit of this CLI
+    code, out, err = invoke(
+        capsys, "coset", "--field", field, "--p", "5", "--gamma", "1", "--x", text
+    )
+    assert code == 2
+    assert out == ""
+    assert "malformed element" in err and "4,300 digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_integer_at_the_digit_limit_is_read(capsys):
+    code, out, _ = invoke(capsys, "coset", "--p", "5", "--gamma", "0", "--x", "7" * 4300)
+    assert code == 0
+    assert json.loads(out)["coset"]["rep"] == "7" * 4300
+
+
+@pytest.mark.parametrize(
     "field,text,rep",
     [
         ("rational", "[3, 2]", "3/2"),

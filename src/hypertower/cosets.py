@@ -6,10 +6,10 @@ v(x - y) > g + v(x).  Multiplication descends to classes and every class
 keeps the valuation of its representatives.  Addition of classes is
 multivalued; instead of enumerating the infinite answer we carry a finite
 descriptor: the class of the plain sum as center, the radius
-g + min(vx, vy), and a flag recording whether the zero class belongs.
-Membership and value sets are decided from the descriptor; so is
-membership in an iterated sum, which is again one ball, with a witness
-chain for every member.
+g + min(vx, vy) with v(0) = INF, and a flag recording whether the zero
+class belongs.  Membership and value sets are decided from the
+descriptor; so is membership in an iterated sum, which is again one
+ball, with a witness chain for every member.
 """
 
 from __future__ import annotations
@@ -129,48 +129,45 @@ def coset_mul(a, b):
 
 @dataclass(frozen=True)
 class HyperSum:
-    """Descriptor of the multivalued sum of two (or more) classes.
-
-    When ``singleton`` is set (one operand was the zero class) the sum is
-    exactly that class.  Otherwise it is the open ball of classes around
-    ``center`` of the given radius, with ``contains_zero`` recording
-    whether full cancellation is reachable.
+    """Descriptor of the multivalued sum of two (or more) classes: the
+    open ball of classes around ``center`` of the given radius, with
+    ``contains_zero`` recording whether full cancellation is reachable.
+    With v(0) = INF, [0] + [y] is the class [y] and [0] + [0] is {[0]}.
     """
 
     field: object
     level: int
     center: GammaCoset
-    radius: object  # int, or None in the singleton case
+    radius: object  # int, or INF for the sum of two zero classes
     contains_zero: bool
-    singleton: GammaCoset = None
 
     def to_json(self):
         return {
             "level": self.level,
             "center": self.center.to_json(),
-            "radius": self.radius,
+            "radius": "inf" if self.radius is INF else self.radius,
             "zero": self.contains_zero,
-            "singleton": self.singleton.to_json() if self.singleton else None,
         }
+
+
+def _ball(field, level, total, least):
+    """The sum ball around the class of ``total``, of radius level + least;
+    the zero class belongs when the center is zero or lies deeper."""
+    center = GammaCoset(field, level, total)
+    radius = level + least
+    v = center.value()
+    return HyperSum(field, level, center, radius, v is INF or v > radius)
 
 
 def hyperadd(a, b):
     """Descriptor of the multivalued sum of two classes."""
     _same_world(a, b)
-    f, g = a.field, a.level
-    if a.is_zero() or b.is_zero():
-        other = b if a.is_zero() else a
-        return HyperSum(f, g, other, None, other.is_zero(), singleton=other)
-    center = GammaCoset(f, g, f.add(a.rep, b.rep))
-    radius = g + min(a.value(), b.value())
-    return HyperSum(f, g, center, radius, center.value() > radius)
+    return _ball(a.field, a.level, a.field.add(a.rep, b.rep), min(a.value(), b.value()))
 
 
 def hypersum_contains(s, c):
     """Whether the class c belongs to the multivalued sum."""
     _same_world(s, c)
-    if s.singleton is not None:
-        return coset_eq(c, s.singleton)
     f = s.field
     if f.is_zero(c.rep):
         return s.contains_zero
@@ -180,14 +177,11 @@ def hypersum_contains(s, c):
 def hypersum_value_set(s):
     """The set of valuations attained across the sum, as a descriptor.
 
-    Away from cancellation every member shares the center's value.  When
-    the zero class belongs, the attained values are exactly the extended
-    values strictly above the radius.
+    Away from cancellation, and in {[0]}, every member shares the
+    center's value.  Otherwise the zero class belongs, and the attained
+    values are exactly the extended values strictly above the radius.
     """
-    if s.singleton is not None:
-        v = s.singleton.value()
-        return TropSet.singleton(v if v is INF else int(v))
-    if not s.contains_zero:
+    if not s.contains_zero or s.radius is INF:
         return TropSet.singleton(s.center.value())
     return TropSet.up_interval(s.radius, open_lower=True)
 
@@ -206,15 +200,14 @@ def member_candidates(s):
     Every candidate is a genuine member (center, zero when admitted, and
     perturbations of the center by u * pi^(r + k) for the unit digits
     u = 1, 2 and k = 1..3, just inside the radius r).  As v(u * pi^(r + k))
-    = r + k, those with r + k > g + v(center) fall onto the center: not built.
+    = r + k, those with r + k > g + v(center) fall onto the center: not built,
+    nor any when r is INF.
     """
-    if s.singleton is not None:
-        return [s.singleton]
     f, g, center = s.field, s.level, s.center
     out = [center]
     if s.contains_zero and not center.is_zero():
         out.append(GammaCoset(f, g, f.zero()))
-    top = 3 if center.is_zero() else min(3, g + center.value() - s.radius)
+    top = 0 if s.radius is INF else 3 if center.is_zero() else min(3, g + center.value() - s.radius)
     for k in range(1, top + 1):
         for i in range(2):
             w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(i))
@@ -226,8 +219,8 @@ def member_candidates(s):
 
 def iterated_contains(summands, c):
     """Exact membership of a class in [x_1] + .. + [x_n]: the classes
-    meeting S + pi^R * O, S the plain sum and R = g + 1 + min v(x_i) over
-    nonzero x_i, the binary descriptor of radius R - 1.  A member's chain
+    meeting S + pi^R * O, S the plain sum and R = g + 1 + min v(x_i) with
+    v(0) = INF, the binary descriptor of radius R - 1.  A member's chain
     shifts a least-valued x_i by c - S (in its class, as v(c - S) >= R)
     and lists the partial sums of 2 .. n - 1 summands."""
     summands = list(summands)
@@ -236,17 +229,10 @@ def iterated_contains(summands, c):
     field, level = summands[0].field, summands[0].level
     for s in summands[1:] + [c]:
         _same_world(summands[0], s)
-    if all(s.is_zero() for s in summands):
-        # every partial sum is the zero class
-        if not c.is_zero():
-            return IteratedResult("non_member")
-        return IteratedResult("member", tuple(summands[1:-1]))
-
     reps = [s.rep for s in summands]
     total = list(accumulate(reps, field.add))[-1]
-    least, low = min((s.value(), i) for i, s in enumerate(summands) if not s.is_zero())
-    center, radius = GammaCoset(field, level, total), level + least
-    if not hypersum_contains(HyperSum(field, level, center, radius, center.value() > radius), c):
+    least, low = min((s.value(), i) for i, s in enumerate(summands))
+    if not hypersum_contains(_ball(field, level, total, least), c):
         return IteratedResult("non_member")
     reps[low] = field.add(reps[low], field.sub(c.rep, total))
     sums = list(accumulate(reps[:-1], field.add))[1:]

@@ -87,13 +87,12 @@ class LossEntry:
 
 @dataclass(frozen=True)
 class PrecisionLedger:
-    """Additive record of cancellation losses along an element's history."""
+    """Record of the cancellation losses in an element's history.
+    ``total_loss`` sums them along the costliest path only: each operand
+    of an operation is queried on its own."""
 
     entries: tuple = ()
-
-    @property
-    def total_loss(self):
-        return sum(e.loss for e in self.entries)
+    total_loss: int = 0
 
     def query_level(self, delivered):
         """Input level needed so the output is exact at ``delivered``."""
@@ -101,11 +100,13 @@ class PrecisionLedger:
 
     def merged(self, *others, extra=None):
         entries = list(self.entries)
+        total = max([self.total_loss] + [o.total_loss for o in others])
         for o in others:
             entries.extend(o.entries)
         if extra is not None:
             entries.append(extra)
-        return PrecisionLedger(tuple(entries))
+            total += extra.loss
+        return PrecisionLedger(tuple(entries), total)
 
     def to_json(self, delivered=0):
         return {
@@ -486,8 +487,8 @@ def check_singlevalued(a, b, n, rng, chains=8):
     total, _ = limit_arith("add", a, b)
     vs, va, vb = total.valuation(), a.valuation(), b.valuation()
     if va is INF or vb is INF:
-        # singleton descriptors at every level: the canonical choice is
-        # the only member, nothing to vary
+        # with a zero operand each level's sum is one class, the other
+        # operand's: the canonical choice is the only member, nothing to vary
         report.tick()
         if not limit_eq(total, b if va is INF else a, n).equal:
             report.fail(law_part="degenerate-sum")

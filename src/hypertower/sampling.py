@@ -40,31 +40,26 @@ def sample_hypersum(field, rng):
 
 
 def sample_member(s, rng):
-    """A genuine member class of a sum descriptor."""
-    if s.singleton is not None:
-        return s.singleton
+    """A genuine member class of a sum descriptor: its center, or the
+    center moved by u * pi^(radius + k) when the radius is finite."""
     f = s.field
-    k = rng.randint(1, 4)
-    w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(rng.randrange(4)))
-    if rng.random() < 0.2:
-        w = f.zero()
+    k, i = rng.randint(1, 4), rng.randrange(4)
+    if rng.random() < 0.2 or s.radius is INF:
+        return s.center
+    w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(i))
     return GammaCoset(f, s.level, f.add(s.center.rep, w))
 
 
 def sample_nonmember(s, rng):
     """A class just outside a sum descriptor.
 
-    Perturbing the center (or the lone member) by an element whose
-    valuation sits exactly at the boundary lands outside: the defining
-    inequalities are strict.
+    Perturbing the center by an element whose valuation sits exactly at
+    the radius lands outside, as the ball is open; a ball of radius INF
+    is the zero class alone, left by a perturbation of value g.
     """
     f = s.field
-    if s.singleton is not None:
-        c = s.singleton
-        v = 0 if c.is_zero() else c.value()
-        w = f.mul(f.uniformizer_pow(s.level + v), f.unit_digit(rng.randrange(4)))
-        return GammaCoset(f, s.level, f.add(c.rep, w))
-    w = f.mul(f.uniformizer_pow(s.radius), f.unit_digit(rng.randrange(4)))
+    r = s.level if s.radius is INF else s.radius
+    w = f.mul(f.uniformizer_pow(r), f.unit_digit(rng.randrange(4)))
     return GammaCoset(f, s.level, f.add(s.center.rep, w))
 
 

@@ -150,6 +150,21 @@ class TestArith:
         assert l4.total_loss == l1.total_loss + 2
         assert to_approximation(d, 3) == Q5.expand(15625, 3)
 
+    def test_ledger_depth_follows_one_path(self):
+        # each operand is queried on its own, so losses on separate
+        # branches do not add up: at delivered 3, 1 + 624 (loss 4) needs
+        # its inputs at 7, 2 + 123 (loss 3) at 6, and their product at 7
+        s, _ = limit_arith("add", from_field(Q5, 1), from_field(Q5, 624))
+        t, _ = limit_arith("add", from_field(Q5, 2), from_field(Q5, 123))
+        prod, lp = limit_arith("mul", s, t)
+        assert lp.to_json(delivered=3)["requested"] == 7
+        assert to_approximation(prod, 3) == Q5.expand(625 * 125, 3)
+        # s + s = 1250 loses nothing more: v(1250) = v(625) = 4
+        double, ld = limit_arith("add", s, s)
+        assert ld.to_json(delivered=3)["requested"] == 7
+        assert len(ld.entries) == 3  # both copies of s's loss, and the new one
+        assert to_approximation(double, 3) == Q5.expand(1250, 3)
+
     def test_ring_laws_at_precision(self):
         rng = random.Random(21)
         for field in (Q5, RationalFunctions(5)):

@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import hypertower
+from hypertower.basefields import PadicRationals
+from hypertower.cosets import coset_of, hyperadd
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,3 +59,19 @@ def test_module_bullets_name_real_objects():
             and not any(hasattr(c, word) for c in classes)
         ]
         assert missing == [], (name, missing)
+
+
+def test_serialization_sentence_names_the_json_keys():
+    """The keys README gives for digit windows, classes and sum
+    descriptors are those their ``to_json`` writes."""
+    text = " ".join(README.read_text().split())
+    field = PadicRationals(5)
+    c = coset_of(field, 3, 2)
+    shapes = {
+        "Digit windows serialize as": field.expand(3, 4),
+        "Classes serialize as": c,
+        "sum descriptors as": hyperadd(c, c),
+    }
+    for lead, obj in shapes.items():
+        schema = re.search(re.escape(lead) + r" `(\{.*?\})`", text).group(1)
+        assert re.findall(r'"(\w+)":', schema) == list(obj.to_json()), lead

@@ -93,13 +93,9 @@ def _seed_of(args):
     return 0
 
 
-def _config(args, **extra):
-    cfg = {"command": args.command}
-    for key in ("field", "p", "gamma", "digits", "samples", "height", "suite", "op"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    cfg.update(extra)
-    return cfg
+def _config(args):
+    """The parsed options of a run, as echoed in its output."""
+    return {k: v for k, v in vars(args).items() if k != "fn"}
 
 
 def cmd_coset(args):
@@ -108,7 +104,7 @@ def cmd_coset(args):
     c = coset_of(field, x, args.gamma)
     _emit(
         {
-            "config": _config(args, x=args.x),
+            "config": _config(args),
             "coset": c.to_json(),
             "value": value_to_json(c.value()),
         }
@@ -123,7 +119,7 @@ def cmd_hyperadd(args):
     s = hyperadd(coset_of(field, x, args.gamma), coset_of(field, y, args.gamma))
     _emit(
         {
-            "config": _config(args, x=args.x, y=args.y),
+            "config": _config(args),
             "hypersum": s.to_json(),
             "values": hypersum_value_set(s).to_json(),
         }
@@ -138,7 +134,7 @@ def cmd_project(args):
     lower = project(upper, args.to)
     _emit(
         {
-            "config": _config(args, x=args.x, frm=args.frm, to=args.to),
+            "config": _config(args),
             "input": upper.to_json(),
             "output": lower.to_json(),
         }
@@ -150,7 +146,7 @@ def cmd_expand(args):
     field = _field_of(args)
     x = _parse_element(field, args.x)
     appr = field.expand(x, args.digits)
-    _emit({"config": _config(args, x=args.x), **appr.to_json()})
+    _emit({"config": _config(args), **appr.to_json()})
     return 0
 
 
@@ -165,7 +161,7 @@ def cmd_embed(args):
     appr = to_approximation(element, args.digits)
     _emit(
         {
-            "config": _config(args, ext=args.ext, x=args.x),
+            "config": _config(args),
             "element": ext.to_json(x),
             "approximation": appr.to_json(),
             "cosets": cosets,
@@ -186,7 +182,7 @@ def cmd_limit_arith(args):
     appr = to_approximation(out, args.digits)
     _emit(
         {
-            "config": _config(args, lhs=args.lhs, rhs=args.rhs),
+            "config": _config(args),
             "approximation": appr.to_json(),
             "ledger": ledger.to_json(delivered=args.digits),
         }
@@ -207,7 +203,7 @@ def cmd_laws(args):
     ok = all(r.passed for r in reports)
     _emit(
         {
-            "config": _config(args, seed=seed),
+            "config": {**_config(args), "seed": seed},
             "reports": [r.to_json() for r in reports],
             "pass": ok,
         }

@@ -108,16 +108,14 @@ def _valued_coset(field, x, gamma, value):
 def coset_eq(a, b):
     """Whether two classes at the same level coincide.
 
-    Zero is its own class; otherwise the representatives must agree up
-    to relative error beyond the level: v(x - y) > level + v(x).  A shared
-    representative, or a zero difference, settles it without v(x).
+    The representatives must agree up to relative error beyond the level:
+    v(x - y) > level + v(x).  With v(0) = INF this also decides zero, which
+    is its own class: level + INF is INF, which no finite v(x - y) exceeds.
+    A shared representative, or a zero difference, settles it without v(x).
     """
     _same_world(a, b)
     if a.rep is b.rep:
         return True
-    az, bz = a.is_zero(), b.is_zero()
-    if az or bz:
-        return az and bz
     d = a.field.sub_valuation(a.rep, b.rep)
     return d is INF or d > a.level + a.value()
 
@@ -166,12 +164,12 @@ def hyperadd(a, b):
 
 
 def hypersum_contains(s, c):
-    """Whether the class c belongs to the multivalued sum."""
+    """Whether the class c belongs to the multivalued sum, the open ball.
+    With v(0) = INF the zero class needs no case of its own: its distance
+    to the center is v(center)."""
     _same_world(s, c)
-    f = s.field
-    if f.is_zero(c.rep):
-        return s.contains_zero
-    return f.sub_valuation(c.rep, s.center.rep) > s.radius
+    d = s.field.sub_valuation(c.rep, s.center.rep)
+    return d is INF or d > s.radius
 
 
 def hypersum_value_set(s):

@@ -3,7 +3,9 @@
 A coherent element materializes one class per level, lazily and
 memoized; a level below its deepest generated class is that class
 projected down, every generated class must agree with the deepest one
-under level-lowering, and all nonzero classes must share one valuation.
+under level-lowering, and all classes must share one valuation, with
+v(0) = INF: the classes of the zero element are zero, and no other
+element has a zero class.
 Arithmetic works level-wise on representatives.  Multiplication,
 negation and inversion lose no precision; addition can cancel, and the
 exact compensation rule is that a result correct at level g needs the
@@ -52,6 +54,9 @@ __all__ = [
 
 # levels the cancellation search of add reads before it calls a sum zero
 ZERO_PROBE = 64
+
+# member-choices that check_singlevalued samples for one pair of elements
+SINGLEVALUED_CHAINS = 4
 
 
 class CoherenceError(RuntimeError):
@@ -196,16 +201,11 @@ class CoherentElement:
         return c
 
     def _check_value(self, level, c):
-        if self._valuation is None:
-            return
-        if self._valuation is INF:
-            if not c.is_zero():
-                raise CoherenceError(level, "nonzero class on a zero element")
-        elif not c.is_zero() and c.value() != self._valuation:
-            raise CoherenceError(
-                level,
-                f"value {c.value()} contradicts recorded value {self._valuation}",
-            )
+        # with v(0) = INF a zero class on a nonzero element, and a nonzero
+        # class on a zero one, are value mismatches like any other
+        recorded = self._valuation
+        if recorded is not None and c.value() != recorded:
+            raise CoherenceError(level, f"value {c.value()} contradicts recorded value {recorded}")
 
     def valuation(self):
         """The shared valuation of the element's classes, read at level 0.
@@ -403,8 +403,9 @@ def limit_eq(a, b, n):
 
     A class at level n fixes every class below it, so level n is compared
     once.  On a mismatch the first separating level is read off the two
-    level-n representatives ra, rb: 0 when either is zero or their values
-    differ, otherwise v(ra - rb) - v.  The witness is the pair of
+    level-n representatives ra, rb: 0 when their values differ (with
+    v(0) = INF, so also when exactly one is zero), otherwise v(ra - rb) - v,
+    which the mismatch puts in 0..n.  The witness is the pair of
     representatives at that level.  Agreement up to n is explicitly not a
     proof of equality, only of indistinguishability at that depth.
     """
@@ -413,11 +414,8 @@ def limit_eq(a, b, n):
     ca, cb = a.at(n), b.at(n)
     if coset_eq(ca, cb):
         return EqResult(True, n)
-    if ca.is_zero() or cb.is_zero():
-        level = 0
-    else:
-        # differing values give v(ra - rb) <= v, so the clamp yields 0
-        level = max(0, a.field.sub_valuation(ca.rep, cb.rep) - ca.value())
+    v = ca.value()
+    level = 0 if cb.value() != v else a.field.sub_valuation(ca.rep, cb.rep) - v
     return EqResult(False, level, (a.at(level).rep, b.at(level).rep))
 
 
@@ -471,7 +469,7 @@ def hensel_finder(ext, base):
     return RepresentativeFinder(base, ext, lambda x, level: ext.representative(x, level))
 
 
-def check_singlevalued(a, b, n, rng, chains=8):
+def check_singlevalued(a, b, n, rng):
     """Every coherent member-choice of a level-wise sum collapses to one element.
 
     For the sum of a and b, alternative per-level members are sampled
@@ -497,7 +495,7 @@ def check_singlevalued(a, b, n, rng, chains=8):
     # the level sums are shared by every chain, each built on first reach
     sums = []
 
-    for i in range(chains):
+    for i in range(SINGLEVALUED_CHAINS):
         report.tick()
         unit = field.unit_digit(rng.randrange(8))
         # just past the tightest slack that still keeps membership: for a

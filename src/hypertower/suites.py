@@ -103,7 +103,9 @@ def definitional_member(field, zs, x, y, gamma):
     z = x + y*u for a 1-unit u at the level, or symmetrically with the
     roles of x and y swapped; the witness quotient is solved for exactly,
     so no enumeration bound is involved.  Each nonzero operand is
-    inverted once for the whole list.
+    inverted once for the whole list.  When both operands are zero there
+    is no quotient to solve: 0 + 0*u is 0, so z belongs exactly when it
+    is zero.
     """
     one = field.one()
     iy = None if field.is_zero(y) else field.inv(y)
@@ -115,7 +117,7 @@ def definitional_member(field, zs, x, y, gamma):
                 u = field.sub(field.mul(field.sub(z, a), inv_b), one)
                 if field.valuation(u) > gamma:
                     return True
-        return False
+        return ix is None and iy is None and field.is_zero(z)
 
     return [member(z) for z in zs]
 
@@ -176,9 +178,8 @@ def _pair_check(field, report, x, y, gamma, vx, vy, units):
     if units is None:
         return
     zs = _spot_candidates(field, x, y, units)
-    # the zero class joins the batch when neither operand is zero
-    both = not field.is_zero(x) and not field.is_zero(y)
-    wants = definitional_member(field, zs + [field.zero()] if both else zs, x, y, gamma)
+    # the zero class joins the batch, to check the descriptor's zero flag
+    wants = definitional_member(field, zs + [field.zero()], x, y, gamma)
     for z, want in zip(zs, wants):
         got = hypersum_contains(s, coset_of(field, z, gamma))
         if want != got:
@@ -191,7 +192,7 @@ def _pair_check(field, report, x, y, gamma, vx, vy, units):
                 definitional=want,
                 descriptor=got,
             )
-    if both and wants[-1] != s.contains_zero:
+    if wants[-1] != s.contains_zero:
         report.fail(kind="zero-flag", x=str(x), y=str(y), gamma=gamma)
 
 
@@ -201,20 +202,16 @@ def _exhaustive_pair(field, report, x, y, gamma, vx, vy, z1s, z2s, vu1):
     ``z1s`` holds the classes of x + y*u and ``z2s`` those of y + x*u
     over the universe of u, whose v(u - 1) is ``vu1``.  Each defining
     1-unit test reduces to a threshold on v(u - 1): z1 - x = y(u-1) and
-    z1 - y = x(1 + y(u-1)/x) give v(u-1) > gamma + min(0, vx - vy), and
-    symmetrically for z2.  A zero operand leaves only the first test, and
-    the class of the other operand always belongs.  ``vu = INF`` (u = 1)
-    passes every threshold.
+    z1 - y = x(1 + y(u-1)/x) give v(u-1) > gamma + min(0, vx - vy), that
+    is vu + vy > gamma + min(vx, vy), and symmetrically for z2.  With
+    v(0) = INF the same inequality covers a zero operand: for y = 0 every
+    z1 is x and belongs, and for x = 0 the test is vu > gamma.  ``vu = INF``
+    (u = 1) passes every threshold.
     """
     s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
     report.tick()
-    if x == 0:
-        wants = [vu > gamma for vu in vu1] + [True] * len(vu1)
-    elif y == 0:
-        wants = [True] * len(vu1) + [vu > gamma for vu in vu1]
-    else:
-        t1, t2 = gamma + min(0, vx - vy), gamma + min(0, vy - vx)
-        wants = [vu > t1 for vu in vu1] + [vu > t2 for vu in vu1]
+    t = gamma + min(vx, vy)
+    wants = [vu + vy > t for vu in vu1] + [vu + vx > t for vu in vu1]
     for c, want in zip(z1s + z2s, wants):
         if hypersum_contains(s, c) != want:
             report.fail(
@@ -438,7 +435,7 @@ def _singlevalued(field, rng, *, p, samples, height, digits):
     for _ in range(max(4, samples // 16)):
         a = from_field(field, sample_element(field, rng, height))
         b = from_field(field, sample_element(field, rng, height))
-        reports.append(check_singlevalued(a, b, 12, rng, chains=4))
+        reports.append(check_singlevalued(a, b, 12, rng))
     return reports
 
 

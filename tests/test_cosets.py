@@ -130,9 +130,15 @@ class TestCosetBasics:
         c = C(Fraction(7, 3), 2)
         assert coset_eq(c, c)
 
-    def test_eq_zero_separation(self):
-        assert not coset_eq(C(0, 0), C(5, 0))
-        assert coset_eq(C(0, 4), C(0, 4))
+    @pytest.mark.parametrize("kind", ["rational", "function", "quadratic"])
+    def test_eq_zero_separation(self, kind):
+        # zero is its own class, at every level and in either argument order
+        field = make_field(kind, 5)
+        zero, five = field.zero(), field.uniformizer_pow(1)
+        for g in (0, 4):
+            z, c = coset_of(field, zero, g), coset_of(field, five, g)
+            assert not coset_eq(z, c) and not coset_eq(c, z)
+            assert coset_eq(z, coset_of(field, field.zero(), g))
 
     def test_eq_level_mismatch(self):
         with pytest.raises(ValueError):
@@ -622,9 +628,13 @@ class TestZeroOperand:
                     for z, want, known in zip(cands, wants, (True, True, False, False)):
                         c = coset_of(field, z, g)
                         assert hypersum_contains(s, c) == want == coset_eq(c, cy) == known, (y, z, g)
+            # [0] + [0] is {[0]}: 0 belongs and no nonzero element does
             both = hyperadd(z0, z0)
-            assert hypersum_contains(both, z0)
-            assert not any(hypersum_contains(both, coset_of(field, z, g)) for z in cands[:3])
+            zs = [zero] + cands[:3]
+            wants = definitional_member(field, zs, zero, zero, g)
+            assert wants == [True, False, False, False]
+            assert wants == [hypersum_contains(both, coset_of(field, z, g)) for z in zs]
+            assert wants == [_add_neg_member(field, z, zero, zero, g) for z in zs]
 
 
 class TestTwoRouteSuite:
@@ -952,7 +962,10 @@ class TestRadiusMutants:
 
 
 def _add_neg_member(field, z, x, y, gamma):
-    """definitional_member with the quotient's 1 taken off as add(..., neg(one()))."""
+    """definitional_member with the quotient's 1 taken off as add(..., neg(one())).
+    With both operands zero, 0 + 0*u is 0: z belongs exactly when it is zero."""
+    if field.is_zero(x) and field.is_zero(y):
+        return field.is_zero(z)
     if not field.is_zero(y):
         u = field.add(field.mul(field.sub(z, x), field.inv(y)), field.neg(field.one()))
         if field.valuation(u) > gamma:

@@ -477,6 +477,11 @@ class TestDeepestFirst:
         z = from_cosets(Q5, lambda g: coset_of(Q5, 1, g), known_valuation=INF)
         with pytest.raises(CoherenceError):
             z.at(6)
+        # the zero class has value INF, which contradicts a recorded 0
+        nz = from_cosets(Q5, lambda g: coset_of(Q5, 0, g), known_valuation=0)
+        with pytest.raises(CoherenceError) as exc:
+            nz.at(3)
+        assert exc.value.level == 3
 
     def test_drift_between_queried_levels_raises(self):
         e = from_cosets(Q5, lambda g: coset_of(Q5, Fraction(1 + 5 * g), g))
@@ -564,6 +569,12 @@ class TestSigma:
         e.at(0)
         with pytest.raises(CoherenceError):
             e.at(2)
+        # a finder that answers 0 for a unit gives the zero class, whose
+        # value INF contradicts the recorded 0
+        zero = sigma_embed(E5.one(), RepresentativeFinder(Q5, E5, lambda x, g: Fraction(0)))
+        with pytest.raises(CoherenceError) as exc:
+            zero.at(2)
+        assert exc.value.level == 2
 
     def test_contract_violation_compat(self):
         # value-correct representatives that drift between levels
@@ -623,19 +634,21 @@ class TestInvariants:
 
 class TestSinglevalued:
     def test_unit_pair(self):
+        # two batches of four chains on one rng: eight chains in all
         rng = random.Random(26)
-        rep = check_singlevalued(from_field(Q5, 1), from_field(Q5, 1), 16, rng)
-        assert rep.passed and rep.samples > 0
+        reps = [check_singlevalued(from_field(Q5, 1), from_field(Q5, 1), 16, rng) for _ in range(2)]
+        assert all(rep.passed and rep.samples > 0 for rep in reps)
 
     def test_cancelling_pair(self):
+        # eight chains in two batches, as in test_unit_pair
         rng = random.Random(27)
-        rep = check_singlevalued(from_field(Q5, 1), from_field(Q5, -1), 16, rng)
-        assert rep.passed
+        a, b = from_field(Q5, 1), from_field(Q5, -1)
+        assert all(check_singlevalued(a, b, 16, rng).passed for _ in range(2))
 
     def test_sigma_pair(self):
         rng = random.Random(28)
         a = sigma_embed(E5.generator(), RF5)
-        rep = check_singlevalued(a, from_field(Q5, 2), 12, rng, chains=4)
+        rep = check_singlevalued(a, from_field(Q5, 2), 12, rng)
         assert rep.passed
 
     def test_level_sums_shared_by_chains(self, monkeypatch):
@@ -647,7 +660,7 @@ class TestSinglevalued:
             return real(a, b)
 
         monkeypatch.setattr(limit, "hyperadd", counting)
-        rep = check_singlevalued(from_field(Q5, 1), from_field(Q5, 1), 12, random.Random(30), chains=4)
+        rep = check_singlevalued(from_field(Q5, 1), from_field(Q5, 1), 12, random.Random(30))
         assert rep.passed and rep.samples == 4
         assert calls == list(range(13))
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from .basefields import PadicRationals, QuadraticExtension, make_field, padic_valuation
-from .cosets import GammaCoset, coset_of, hyperadd, hypersum_contains
+from .cosets import GammaCoset, _valued_coset, coset_of, hyperadd, hypersum_contains
 from .limit import (
     check_singlevalued,
     check_universal_property,
@@ -84,7 +84,9 @@ def _candidate_table(bound):
 
     The sums depend only on the universe, and far fewer are distinct than
     computed (557 of 12,167 for bound 4), so each (p, level) builds one
-    class per distinct value.  Built on first use, never at import.
+    class per distinct value.  An index also keys a candidate's verdict
+    against a sum descriptor, which pairs with the same descriptor share.
+    Built on first use, never at import.
     """
     small = reduced_rationals(bound)
     index = {}
@@ -127,9 +129,10 @@ def _descriptor_checks(field, report, x, y, gamma, vx, vy):
     its radius, center and zero flag, with v(0) = INF for a zero operand.
 
     Equality is decided by field arithmetic, not by ``sub_valuation``:
-    that kernel is what the descriptor route under test runs on.
+    that kernel is what the descriptor route under test runs on.  The
+    operand classes carry vx and vy, so ``hyperadd`` values neither again.
     """
-    s = hyperadd(coset_of(field, x, gamma), coset_of(field, y, gamma))
+    s = hyperadd(_valued_coset(field, x, gamma, vx), _valued_coset(field, y, gamma, vy))
     expected_radius = gamma + min(vx, vy)
     total = field.add(x, y)
     vt = field.valuation(total)
@@ -196,29 +199,43 @@ def _pair_check(field, report, x, y, gamma, vx, vy, units):
         report.fail(kind="zero-flag", x=str(x), y=str(y), gamma=gamma)
 
 
-def _exhaustive_pair(field, report, x, y, gamma, vx, vy, z1s, z2s, vu1):
+def _exhaustive_pair(field, report, x, y, gamma, vx, vy, ks, classes, memo, vu1):
     """One ordered pair of the exhaustive tier.
 
-    ``z1s`` holds the classes of x + y*u and ``z2s`` those of y + x*u
-    over the universe of u, whose v(u - 1) is ``vu1``.  Each defining
-    1-unit test reduces to a threshold on v(u - 1): z1 - x = y(u-1) and
-    z1 - y = x(1 + y(u-1)/x) give v(u-1) > gamma + min(0, vx - vy), that
-    is vu + vy > gamma + min(vx, vy), and symmetrically for z2.  With
+    ``ks`` indexes into ``classes`` the candidates z1 = x + y*u and then
+    z2 = y + x*u over the universe of u, whose v(u - 1) is ``vu1``.  Each
+    defining 1-unit test reduces to a threshold on v(u - 1):
+    z1 - x = y(u-1) and z1 - y = x(1 + y(u-1)/x) give
+    v(u-1) > gamma + min(0, vx - vy), that is
+    vu + vy > gamma + min(vx, vy), and symmetrically for z2.  With
     v(0) = INF the same inequality covers a zero operand: for y = 0 every
     z1 is x and belongs, and for x = 0 the test is vu > gamma.  ``vu = INF``
     (u = 1) passes every threshold.
+
+    Whether a class belongs to a sum depends on the sum alone, so ``memo``
+    maps the descriptor that ``hyperadd`` returned to the verdicts decided
+    on it so far, by candidate index; each is asked of the route once.
     """
     s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
     report.tick()
     t = gamma + min(vx, vy)
     wants = [vu + vy > t for vu in vu1] + [vu + vx > t for vu in vu1]
-    for c, want in zip(z1s + z2s, wants):
-        if hypersum_contains(s, c) != want:
+    facts = memo.setdefault((s.center.rep, s.radius, s.contains_zero), {})
+    got = []
+    for k in ks:
+        verdict = facts.get(k)
+        if verdict is None:
+            verdict = facts[k] = hypersum_contains(s, classes[k])
+        got.append(verdict)
+    if got == wants:
+        return
+    for k, verdict, want in zip(ks, got, wants):
+        if verdict != want:
             report.fail(
                 kind="exhaustive-membership",
                 x=str(x),
                 y=str(y),
-                z=str(c.rep),
+                z=str(classes[k].rep),
                 gamma=gamma,
             )
 
@@ -237,10 +254,11 @@ def lee_suite(
     Tier one is exhaustive: every pair from the small universe, every
     candidate from the same universe, materialized through both routes.
     Candidates are shared by value: each distinct sum x + y*u gets one
-    class per configuration, whichever pairs it serves.  Tier two draws
-    pairs from the stated larger universe, checks each pair's sum
-    descriptor, which decides its full candidate set, and materializes a
-    stratified spot set.
+    class per configuration, whichever pairs it serves.  Verdicts are
+    shared per descriptor: pairs whose sums have the same descriptor ask
+    the route about each candidate once.  Tier two draws pairs from the
+    stated larger universe, checks each pair's sum descriptor, which
+    decides its full candidate set, and materializes a stratified spot set.
     """
     field = PadicRationals(p)
     report = LawReport(f"lee-two-route[p={p},gamma={gamma}]")
@@ -251,6 +269,7 @@ def lee_suite(
     vu1 = [padic_valuation(u - 1, p) if u != 1 else INF for u in small]
     sums, rows = _candidate_table(exhaustive_bound)
     classes = [coset_of(field, z, gamma) for z in sums]
+    memo = {}
     for i, x in enumerate(small):
         vx = vals_small[i]
         for j in range(i, n):
@@ -258,13 +277,10 @@ def lee_suite(
             if x == 0 and y == 0:
                 continue
             vy = vals_small[j]
-            xy = [classes[k] for k in rows[i * n + j]]
-            if j == i:
-                _exhaustive_pair(field, report, x, x, gamma, vx, vx, xy, xy, vu1)
-                continue
-            yx = [classes[k] for k in rows[j * n + i]]
-            _exhaustive_pair(field, report, x, y, gamma, vx, vy, xy, yx, vu1)
-            _exhaustive_pair(field, report, y, x, gamma, vy, vx, yx, xy, vu1)
+            xy, yx = rows[i * n + j], rows[j * n + i]
+            _exhaustive_pair(field, report, x, y, gamma, vx, vy, xy + yx, classes, memo, vu1)
+            if j != i:
+                _exhaustive_pair(field, report, y, x, gamma, vy, vx, yx + xy, classes, memo, vu1)
 
     big = reduced_rationals(sample_bound)
     units = _spot_units(p, gamma)
@@ -331,7 +347,7 @@ def _trop_members(s, rng, arity):
 
 
 # reduced_rationals(height) holds about 1.2 * height^2 fractions whatever
-# the sample count, built once for all three levels: 1000 takes 4 to 6 s
+# the sample count, built once for all three levels: 1000 takes 4 to 5 s
 LEE_MAX_HEIGHT = 1000
 
 

@@ -685,13 +685,18 @@ class TestEachCheckPaidOnce:
     @pytest.mark.parametrize("p", [2, 5])
     def test_each_distinct_candidate_class_built_once(self, monkeypatch, p):
         built = []
-        real = suites.coset_of
+        real_of, real_valued = suites.coset_of, suites._valued_coset
 
         def counting(field, x, gamma):
             built.append(x)
-            return real(field, x, gamma)
+            return real_of(field, x, gamma)
+
+        def counting_valued(field, x, gamma, value):
+            built.append(x)
+            return real_valued(field, x, gamma, value)
 
         monkeypatch.setattr(suites, "coset_of", counting)
+        monkeypatch.setattr(suites, "_valued_coset", counting_valued)
         rep = _exhaustive_only(p, 1, 4)
         assert rep.passed
         # two operand classes per ordered pair, of which there are n*n - 1,
@@ -700,6 +705,21 @@ class TestEachCheckPaidOnce:
         n = len(small)
         distinct = {x + y * u for x in small for y in small for u in small}
         assert len(built) == 2 * (n * n - 1) + len(distinct) == 1613
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_operand_classes_arrive_valued(self, monkeypatch, p):
+        # both tiers know vx and vy, so hyperadd values no operand again
+        arrived = []
+        real = suites.hyperadd
+
+        def hyperadd(a, b):
+            arrived.extend([(a.rep, a._value), (b.rep, b._value)])
+            return real(a, b)
+
+        monkeypatch.setattr(suites, "hyperadd", hyperadd)
+        rep = lee_suite(p, 1, random.Random(2), exhaustive_bound=3, sample_bound=20, sample_pairs=100)
+        assert rep.passed and len(arrived) == 2 * rep.samples
+        assert all(v == padic_valuation(x, p) for x, v in arrived)
 
 
 # -- the lee suite's exhaustive tier against its row-major form -------------
@@ -751,20 +771,6 @@ def _exhaustive_only(p, gamma, bound):
     return lee_suite(p, gamma, random.Random(0), exhaustive_bound=bound, sample_bound=4, sample_pairs=0)
 
 
-def _track_pair(monkeypatch):
-    """Record the operands of the pair whose descriptor was checked last;
-    both tiers check a pair's descriptor before its candidates."""
-    pair = []
-    real = suites._descriptor_checks
-
-    def checks(field, report, x, y, gamma, vx, vy):
-        pair[:] = [x, y]
-        return real(field, report, x, y, gamma, vx, vy)
-
-    monkeypatch.setattr(suites, "_descriptor_checks", checks)
-    return pair
-
-
 class TestCandidateTable:
     @pytest.mark.parametrize("bound", range(6))
     def test_rows_resolve_to_the_sums(self, bound):
@@ -799,47 +805,93 @@ class TestCandidateTable:
         assert (info.misses, info.hits) == (1, 8)
 
 
+def _descriptor_key(s):
+    # the memo key of the exhaustive tier, with the rational center as an
+    # integer pair: a Fraction rehashes on every dict lookup
+    return s.center.rep.as_integer_ratio(), s.radius, s.contains_zero
+
+
+def _track_facts(monkeypatch):
+    """Count the (descriptor, class) facts asked of the descriptor route."""
+    asked = Counter()
+    real = suites.hypersum_contains
+
+    def recording(s, c):
+        asked[_descriptor_key(s), c.rep.as_integer_ratio(), c.level] += 1
+        return real(s, c)
+
+    monkeypatch.setattr(suites, "hypersum_contains", recording)
+    return asked
+
+
+# hypersum_contains calls of _exhaustive_only(p, gamma, 4), one per distinct
+# (descriptor, class) fact, the same for every gamma; the ordered pairs ask
+# about 2n(n^2 - 1) = 24,288 candidates
+EXHAUSTIVE_FACTS = {2: 7209, 3: 6783, 5: 6323}
+
+
 class TestExhaustiveTier:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("gamma", [0, 1, 2])
     def test_closed_form_wants_match_definition(self, monkeypatch, p, gamma):
         # the descriptor route is replaced by the definition itself, so any
-        # closed-form want that disagrees with it is reported as a failure
-        pair = _track_pair(monkeypatch)
-        asked = []
+        # closed-form want that disagrees with its verdict is reported as a
+        # failure; a verdict is asked once per descriptor, on the first
+        # pair that has it, so every ordered pair's candidates are then
+        # put to the definition on that pair's own operands
+        descriptors = []
+        real_checks = suites._descriptor_checks
+
+        def checks(field, report, x, y, gamma, vx, vy):
+            s = real_checks(field, report, x, y, gamma, vx, vy)
+            descriptors.append((x, y, s))
+            return s
+
+        verdicts = {}
 
         def by_definition(s, c):
-            asked.append(1)
-            x, y = pair
-            return definitional_member(s.field, [c.rep], x, y, c.level)[0]
+            x, y, _ = descriptors[-1]
+            want = definitional_member(s.field, [c.rep], x, y, c.level)[0]
+            verdicts[_descriptor_key(s), c.rep] = want
+            return want
 
+        monkeypatch.setattr(suites, "_descriptor_checks", checks)
         monkeypatch.setattr(suites, "hypersum_contains", by_definition)
         rep = _exhaustive_only(p, gamma, 4)
-        n = len(reduced_rationals(4))
-        assert rep.samples == n * n - 1
-        assert len(asked) == 2 * n * (n * n - 1)
         assert rep.failures == []
+        small = reduced_rationals(4)
+        n = len(small)
+        assert rep.samples == len(descriptors) == n * n - 1
+        assert len(verdicts) == EXHAUSTIVE_FACTS[p]
+        field = PadicRationals(p)
+        compared = 0
+        for x, y, s in descriptors:
+            zs = [x + y * u for u in small] + [y + x * u for u in small]
+            key = _descriptor_key(s)
+            got = [verdicts[key, z] for z in zs]
+            assert definitional_member(field, zs, x, y, gamma) == got, (x, y)
+            compared += len(zs)
+        assert compared == 2 * n * (n * n - 1)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_same_materialized_classes_as_row_major(self, monkeypatch, p):
-        pair = _track_pair(monkeypatch)
-        seen = Counter()
-        real = suites.hypersum_contains
+    @pytest.mark.parametrize("gamma", [0, 1, 2])
+    def test_each_fact_asked_once(self, monkeypatch, p, gamma):
+        asked = _track_facts(monkeypatch)
+        rep = _exhaustive_only(p, gamma, 4)
+        assert rep.passed
+        assert sum(asked.values()) == len(asked) == EXHAUSTIVE_FACTS[p]
 
-        def recording(s, c):
-            # integer pairs: a Fraction rehashes on every dict lookup
-            x, y = pair
-            seen[(x.as_integer_ratio(), y.as_integer_ratio(), c.rep.as_integer_ratio(), c.level)] += 1
-            return real(s, c)
-
-        monkeypatch.setattr(suites, "hypersum_contains", recording)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_same_facts_as_row_major(self, monkeypatch, p):
+        asked = _track_facts(monkeypatch)
         for gamma in (0, 2):
             reference = _row_major_exhaustive(p, gamma, 4)
-            old = seen.copy()
-            seen.clear()
+            old = set(asked)
+            assert sum(asked.values()) == 2 * len(reduced_rationals(4)) * 528
+            asked.clear()
             rep = _exhaustive_only(p, gamma, 4)
-            assert seen == old
-            seen.clear()
+            assert set(asked) == old
+            asked.clear()
             assert rep.to_json() == reference.to_json()
             assert rep.passed
 
@@ -956,6 +1008,23 @@ class TestRadiusMutants:
         assert not rep.passed
         failed = {f"{f['x']},{f['y']}" for f in rep.failures if f["kind"] == "descriptor"}
         assert set(SWEEP_FLAGGED[mutant, p, gamma].split()) <= failed
+
+
+class TestSharedVerdicts:
+    @pytest.mark.parametrize("mutant", ["ball-closed", *RADIUS_MUTANTS])
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("gamma", [0, 2])
+    def test_same_report_as_row_major_under_mutants(self, monkeypatch, mutant, p, gamma):
+        # a verdict shared by two pairs is keyed on the descriptor the route
+        # returned, so a wrong radius stays visible on every pair; where a
+        # mutant slips through the small universe, both reports are clean
+        if mutant in RADIUS_MUTANTS:
+            monkeypatch.setattr(suites, "hyperadd", _radius_mutant(RADIUS_MUTANTS[mutant]))
+        else:
+            monkeypatch.setattr(suites, "hypersum_contains", MUTANTS[mutant])
+        reference = _row_major_exhaustive(p, gamma, 4)
+        rep = _exhaustive_only(p, gamma, 4)
+        assert rep.to_json() == reference.to_json()
 
 
 # -- the rewritten helpers against their former shape -----------------------

@@ -126,9 +126,16 @@ def padic_valuation(q, p):
     float by its binary fraction and a bool as 0 or 1, so both are errors."""
     if type(q) is not Fraction and (isinstance(q, bool) or not isinstance(q, (Fraction, int))):
         raise ValueError(f"not a rational: {q!r}")
-    if not q:
+    n = q.numerator
+    if not n:
         return INF
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+    # most values are p-adic units, so int_valuation runs only on a part
+    # that p divides, as in sub_valuation
+    d = q.denominator
+    v = int_valuation(n, p) if n % p == 0 else 0
+    if d % p == 0:
+        v -= int_valuation(d, p)
+    return v
 
 
 # below this many digits _digits_of peels them off one divmod at a time
@@ -345,44 +352,6 @@ class QuadElement:
         object.__setattr__(x, "a", a)
         object.__setattr__(x, "b", b)
         return x
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def conj(self):
-        return QuadElement(self.p, self.a, -self.b)
-
-    def norm(self):
-        return self.a * self.a - (1 + self.p) * self.b * self.b
-
-    def _chk(self, other):
-        if not isinstance(other, QuadElement) or other.p != self.p:
-            raise ValueError("mixed quadratic extensions")
-
-    def __add__(self, other):
-        self._chk(other)
-        return QuadElement(self.p, self.a + other.a, self.b + other.b)
-
-    def __neg__(self):
-        return QuadElement(self.p, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._chk(other)
-        d = 1 + self.p
-        return QuadElement(
-            self.p,
-            self.a * other.a + d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return QuadElement(self.p, self.a / n, -self.b / n)
 
     def __repr__(self):
         return f"({self.a} + {self.b}*r)"

@@ -682,6 +682,36 @@ class TestEachCheckPaidOnce:
         assert len(spots) > 40
         assert len(inverted) == sum((x != 0) + (y != 0) for x, y in spots)
 
+    def test_referee_work_per_call_and_candidate(self):
+        # per call: one inv per nonzero operand and x + y; per candidate:
+        # one difference, then one product (and its valuation) per branch
+        # tried, the y branch first
+        calls = Counter()
+
+        class CountingQ5(PadicRationals):
+            pass
+
+        for name in ("add", "sub", "neg", "mul", "inv", "valuation"):
+            def counted(self, *args, _name=name, _real=getattr(PadicRationals, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            setattr(CountingQ5, name, counted)
+
+        field = CountingQ5(5)
+        for zs, x, y, gamma in _spot_batch(12):
+            tried = 0
+            for z in zs:
+                if y != 0:
+                    tried += 1
+                    if padic_valuation((z - x) / y - 1, 5) > gamma:
+                        continue
+                tried += x != 0
+            calls.clear()
+            definitional_member(field, zs, x, y, gamma)
+            inv = (x != 0) + (y != 0)
+            assert calls == Counter(inv=inv, add=1, sub=len(zs), mul=tried, valuation=tried), (x, y, gamma)
+
     @pytest.mark.parametrize("p", [2, 5])
     def test_each_distinct_candidate_class_built_once(self, monkeypatch, p):
         built = []
@@ -937,6 +967,100 @@ class TestLeeNegativeControls:
     def test_unmutated_suite_passes(self, gamma):
         rep = lee_suite(5, gamma, random.Random(1), exhaustive_bound=4, sample_bound=20, sample_pairs=200)
         assert rep.passed and rep.samples == 728
+
+
+# -- negative control: the referee does not share the route's kernel --------
+
+
+def _spot_batch(seed):
+    """Fixed Q_5 spot pairs with their candidates and the zero class, at
+    levels 0 to 2: drawn pairs from height 20 plus the zero-operand pairs."""
+    rng = random.Random(seed)
+    universe = reduced_rationals(20)
+    zero = Q5.zero()
+    pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(30)]
+    pairs += [(zero, Fraction(3, 7)), (Fraction(-5, 2), zero), (zero, zero)]
+    batch = []
+    for gamma in (0, 1, 2):
+        units = suites._spot_units(5, gamma)
+        for x, y in pairs:
+            batch.append((suites._spot_candidates(Q5, x, y, units) + [zero], x, y, gamma))
+    return batch
+
+
+_REAL_SUB_VALUATION = PadicRationals.sub_valuation
+
+
+def _sub_valuation_off_by_one(self, x, y):
+    """PadicRationals.sub_valuation with every finite value raised by one."""
+    v = _REAL_SUB_VALUATION(self, x, y)
+    return v if v is INF else v + 1
+
+
+# failure counts by kind under the off-by-one sub_valuation; at level 2
+# the small universe holds no candidate at the ball's edge, so only the
+# sampled tier's spot set catches it
+SUB_VALUATION_FAILURES = {
+    0: {"exhaustive-membership": 18216, "membership": 166},
+    1: {"exhaustive-membership": 4048, "membership": 152},
+    2: {"membership": 111},
+}
+
+
+class TestRefereeIndependence:
+    def test_verdicts_unmoved_by_a_broken_kernel(self, monkeypatch):
+        batch = _spot_batch(11)
+        before = [definitional_member(Q5, zs, x, y, g) for zs, x, y, g in batch]
+        monkeypatch.setattr(PadicRationals, "sub_valuation", _sub_valuation_off_by_one)
+        assert Q5.sub_valuation(Fraction(5), Fraction(0)) == 2
+        after = [definitional_member(Q5, zs, x, y, g) for zs, x, y, g in batch]
+        assert after == before
+        verdicts = Counter(v for vs in before for v in vs)
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    @pytest.mark.parametrize("gamma", list(SUB_VALUATION_FAILURES))
+    def test_broken_kernel_fails_suite(self, monkeypatch, gamma):
+        monkeypatch.setattr(PadicRationals, "sub_valuation", _sub_valuation_off_by_one)
+        rep = lee_suite(5, gamma, random.Random(1), exhaustive_bound=4, sample_bound=20, sample_pairs=200)
+        assert not rep.passed
+        assert Counter(f["kind"] for f in rep.failures) == SUB_VALUATION_FAILURES[gamma]
+
+    def test_referee_calls_no_route_function(self, monkeypatch):
+        # the route's kernel and functions raise while the referee runs,
+        # and work as before outside it
+        inside = []
+        real_member = suites.definitional_member
+
+        def guarded_member(*args):
+            inside.append(True)
+            try:
+                return real_member(*args)
+            finally:
+                inside.pop()
+
+        def guard(fn):
+            @functools.wraps(fn)
+            def guarded(*args):
+                if inside:
+                    raise AssertionError(f"the referee called {fn.__name__}")
+                return fn(*args)
+
+            return guarded
+
+        monkeypatch.setattr(suites, "definitional_member", guarded_member)
+        monkeypatch.setattr(suites, "hyperadd", guard(suites.hyperadd))
+        monkeypatch.setattr(suites, "hypersum_contains", guard(suites.hypersum_contains))
+        for cls in (PadicRationals, RationalFunctions, QuadraticExtension):
+            monkeypatch.setattr(cls, "sub_valuation", guard(cls.sub_valuation))
+        rep = lee_suite(5, 1, random.Random(1), exhaustive_bound=2, sample_bound=20, sample_pairs=200)
+        assert rep.passed and rep.samples > 200
+        for kind in ("rational", "function", "quadratic"):
+            field = make_field(kind, 5)
+            rng = random.Random(f"guard:{kind}")
+            for _ in range(20):
+                x, y = sample_element(field, rng, 20), sample_element(field, rng, 20)
+                zs = [sample_element(field, rng, 20), field.add(x, y), x, y, field.zero()]
+                assert len(guarded_member(field, zs, x, y, 1)) == len(zs)
 
 
 # -- negative controls on the sum descriptor's radius -----------------------

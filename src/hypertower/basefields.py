@@ -126,16 +126,9 @@ def padic_valuation(q, p):
     float by its binary fraction and a bool as 0 or 1, so both are errors."""
     if type(q) is not Fraction and (isinstance(q, bool) or not isinstance(q, (Fraction, int))):
         raise ValueError(f"not a rational: {q!r}")
-    n = q.numerator
-    if not n:
+    if not q:
         return INF
-    # most values are p-adic units, so int_valuation runs only on a part
-    # that p divides, as in sub_valuation
-    d = q.denominator
-    v = int_valuation(n, p) if n % p == 0 else 0
-    if d % p == 0:
-        v -= int_valuation(d, p)
-    return v
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
 # below this many digits _digits_of peels them off one divmod at a time

@@ -348,7 +348,7 @@ def _trop_members(s, rng, arity):
 
 
 # reduced_rationals(height) holds about 1.2 * height^2 fractions whatever
-# the sample count, built once for all three levels: 1000 takes 3.5 to 5 s
+# the sample count, built once for all three levels: 1000 takes 2.5 to 5 s
 LEE_MAX_HEIGHT = 1000
 
 

@@ -499,8 +499,7 @@ class PadicRationals(ValuedField):
         return padic_valuation(self.check(x), self.p)
 
     def sub_valuation(self, x, y):
-        # v(x - y) from the cross difference, without building x - y;
-        # int_valuation runs only on a term that p divides
+        # v(x - y) from the cross difference, without building x - y
         if type(x) is not Fraction:
             x = self.check(x)
         if type(y) is not Fraction:
@@ -509,12 +508,7 @@ class PadicRationals(ValuedField):
         diff = x.numerator * yd - y.numerator * xd
         if not diff:
             return INF
-        v = int_valuation(diff, p) if diff % p == 0 else 0
-        if xd % p == 0:
-            v -= int_valuation(xd, p)
-        if yd % p == 0:
-            v -= int_valuation(yd, p)
-        return v
+        return int_valuation(diff, p) - int_valuation(xd, p) - int_valuation(yd, p)
 
     def expand(self, x, n):
         """First n base-p digits of x, starting at its valuation.
@@ -796,20 +790,16 @@ class QuadraticExtension(ValuedField):
             self._root = (have, x)
         return x % self.p ** k
 
-    def _window(self, x, n):
-        """(valuation, first n digits of the unit part as one integer) of
-        the embedded image of x; (INF, 0) for zero.
-
-        Works on the integer numerators and denominators of the two
-        components.  The norm a^2 - (1+p) b^2 bounds how deep the leading
-        digit can hide, so the search window is finite and the result exact.
-        """
-        return self._window_ints(*self._parts(x), n)
-
     def _window_ints(self, an, ad, bn, bd, n):
-        """The core of `_window` on x = an/ad + (bn/bd) r, with nonzero
-        denominators; it reads only valuations and residues, so the
-        fractions need not be in lowest terms."""
+        """(valuation, first n digits of the unit part as one integer) of
+        the embedded image of x = an/ad + (bn/bd) r; (INF, 0) for zero.
+
+        Works on the integer numerators and nonzero denominators of the two
+        components.  It reads only valuations and residues, so the fractions
+        need not be in lowest terms.  The norm a^2 - (1+p) b^2 bounds how
+        deep the leading digit can hide, so the search window is finite and
+        the result exact.
+        """
         p = self.p
         vad, vbd = int_valuation(ad, p), int_valuation(bd, p)
         vals = [int_valuation(num, p) - vden for num, vden in ((an, vad), (bn, vbd)) if num]
@@ -853,19 +843,16 @@ class QuadraticExtension(ValuedField):
 
     def sub_valuation(self, x, y):
         # v(x - y) from the component cross differences, left unreduced
-        x, y = self.check(x), self.check(y)
-        xa, xb, ya, yb = x.a, x.b, y.a, y.b
-        if xa == ya and xb == yb:
+        xs, ys = self._parts(x), self._parts(y)
+        if xs == ys:
             return INF
-        ad, bd = xa.denominator * ya.denominator, xb.denominator * yb.denominator
-        an = xa.numerator * ya.denominator - ya.numerator * xa.denominator
-        bn = xb.numerator * yb.denominator - yb.numerator * xb.denominator
-        return self._value_ints(an, ad, bn, bd)
+        (an, ad, bn, bd), (cn, cd, dn, dd) = xs, ys
+        return self._value_ints(an * cd - cn * ad, ad * cd, bn * dd - dn * bd, bd * dd)
 
     def expand(self, x, n):
         if n < 1:
             raise ValueError("precision must be >= 1")
-        v, unit = self._window(x, n)
+        v, unit = self._window_ints(*self._parts(x), n)
         return Approximation._trusted(0 if v is INF else v, _digits_of(unit, self.p, n), self.p)
 
     def representative(self, x, level):
@@ -876,7 +863,7 @@ class QuadraticExtension(ValuedField):
         """
         if level < 0:
             raise ValueError("negative level")
-        v, unit = self._window(x, level + 1)
+        v, unit = self._window_ints(*self._parts(x), level + 1)
         if v is INF:
             return Fraction(0)
         if v >= 0:

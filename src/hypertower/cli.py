@@ -61,10 +61,6 @@ def _emit(doc):
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _field_of(args):
-    return make_field(args.field, args.p)
-
-
 def _parse_element(field, text):
     # Python's parsers refuse an integer past its int-to-str conversion
     # limit with advice about an interpreter setting; name the limit here
@@ -99,7 +95,7 @@ def _config(args):
 
 
 def cmd_coset(args):
-    field = _field_of(args)
+    field = make_field(args.field, args.p)
     x = _parse_element(field, args.x)
     c = coset_of(field, x, args.gamma)
     _emit(
@@ -113,7 +109,7 @@ def cmd_coset(args):
 
 
 def cmd_hyperadd(args):
-    field = _field_of(args)
+    field = make_field(args.field, args.p)
     x = _parse_element(field, args.x)
     y = _parse_element(field, args.y)
     s = hyperadd(coset_of(field, x, args.gamma), coset_of(field, y, args.gamma))
@@ -128,7 +124,7 @@ def cmd_hyperadd(args):
 
 
 def cmd_project(args):
-    field = _field_of(args)
+    field = make_field(args.field, args.p)
     x = _parse_element(field, args.x)
     upper = coset_of(field, x, args.frm)
     lower = project(upper, args.to)
@@ -143,7 +139,7 @@ def cmd_project(args):
 
 
 def cmd_expand(args):
-    field = _field_of(args)
+    field = make_field(args.field, args.p)
     x = _parse_element(field, args.x)
     appr = field.expand(x, args.digits)
     _emit({"config": _config(args), **appr.to_json()})
@@ -171,7 +167,7 @@ def cmd_embed(args):
 
 
 def cmd_limit_arith(args):
-    field = _field_of(args)
+    field = make_field(args.field, args.p)
     lhs = from_field(field, _parse_element(field, args.lhs))
     rhs = None
     if args.op in ("add", "mul"):

@@ -84,16 +84,18 @@ def _candidate_table(bound):
 
     The sums depend only on the universe, and far fewer are distinct than
     computed (557 of 12,167 for bound 4), so each (p, level) builds one
-    class per distinct value.  An index also keys a candidate's verdict
-    against a sum descriptor, which pairs with the same descriptor share.
-    Built on first use, never at import.
+    class per distinct value.  Each product y*u is formed once, not once
+    per x.  An index also keys a candidate's verdict against a sum
+    descriptor, which pairs with the same descriptor share.  Built on
+    first use, never at import.
     """
     small = reduced_rationals(bound)
+    products = [[y * u for u in small] for y in small]
     index = {}
     rows = tuple([
-        tuple([index.setdefault(x + y * u, len(index)) for u in small])
+        tuple([index.setdefault(x + yu, len(index)) for yu in row])
         for x in small
-        for y in small
+        for row in products
     ])
     return tuple(index), rows
 
@@ -267,21 +269,16 @@ def lee_suite(
     small = reduced_rationals(exhaustive_bound)
     n = len(small)
     vals_small = [padic_valuation(q, p) for q in small]
-    vu1 = [padic_valuation(u - 1, p) if u != 1 else INF for u in small]
+    vu1 = [padic_valuation(u - 1, p) for u in small]
     sums, rows = _candidate_table(exhaustive_bound)
     classes = [coset_of(field, z, gamma) for z in sums]
     memo = {}
-    for i, x in enumerate(small):
-        vx = vals_small[i]
-        for j in range(i, n):
-            y = small[j]
+    for i, (x, vx) in enumerate(zip(small, vals_small)):
+        for j, (y, vy) in enumerate(zip(small, vals_small)):
             if x == 0 and y == 0:
                 continue
-            vy = vals_small[j]
-            xy, yx = rows[i * n + j], rows[j * n + i]
-            _exhaustive_pair(field, report, x, y, gamma, vx, vy, xy + yx, classes, memo, vu1)
-            if j != i:
-                _exhaustive_pair(field, report, y, x, gamma, vy, vx, yx + xy, classes, memo, vu1)
+            ks = rows[i * n + j] + rows[j * n + i]
+            _exhaustive_pair(field, report, x, y, gamma, vx, vy, ks, classes, memo, vu1)
 
     big = reduced_rationals(sample_bound)
     units = _spot_units(p, gamma)

@@ -89,23 +89,11 @@ def _seed_of(args):
     return 0
 
 
-def _config(args):
-    """The parsed options of a run, as echoed in its output."""
-    return {k: v for k, v in vars(args).items() if k != "fn"}
-
-
 def cmd_coset(args):
     field = make_field(args.field, args.p)
     x = _parse_element(field, args.x)
     c = coset_of(field, x, args.gamma)
-    _emit(
-        {
-            "config": _config(args),
-            "coset": c.to_json(),
-            "value": value_to_json(c.value()),
-        }
-    )
-    return 0
+    return {"coset": c.to_json(), "value": value_to_json(c.value())}
 
 
 def cmd_hyperadd(args):
@@ -113,14 +101,7 @@ def cmd_hyperadd(args):
     x = _parse_element(field, args.x)
     y = _parse_element(field, args.y)
     s = hyperadd(coset_of(field, x, args.gamma), coset_of(field, y, args.gamma))
-    _emit(
-        {
-            "config": _config(args),
-            "hypersum": s.to_json(),
-            "values": hypersum_value_set(s).to_json(),
-        }
-    )
-    return 0
+    return {"hypersum": s.to_json(), "values": hypersum_value_set(s).to_json()}
 
 
 def cmd_project(args):
@@ -128,22 +109,13 @@ def cmd_project(args):
     x = _parse_element(field, args.x)
     upper = coset_of(field, x, args.frm)
     lower = project(upper, args.to)
-    _emit(
-        {
-            "config": _config(args),
-            "input": upper.to_json(),
-            "output": lower.to_json(),
-        }
-    )
-    return 0
+    return {"input": upper.to_json(), "output": lower.to_json()}
 
 
 def cmd_expand(args):
     field = make_field(args.field, args.p)
     x = _parse_element(field, args.x)
-    appr = field.expand(x, args.digits)
-    _emit({"config": _config(args), **appr.to_json()})
-    return 0
+    return field.expand(x, args.digits).to_json()
 
 
 def cmd_embed(args):
@@ -154,16 +126,8 @@ def cmd_embed(args):
     # the shallow classes first, so each comes from the finder rather than
     # from projecting the deep class that the approximation materializes
     cosets = element.to_json(levels=min(args.digits, 4))["cosets"]
-    appr = to_approximation(element, args.digits)
-    _emit(
-        {
-            "config": _config(args),
-            "element": ext.to_json(x),
-            "approximation": appr.to_json(),
-            "cosets": cosets,
-        }
-    )
-    return 0
+    appr = to_approximation(element, args.digits).to_json()
+    return {"element": ext.to_json(x), "approximation": appr, "cosets": cosets}
 
 
 def cmd_limit_arith(args):
@@ -175,21 +139,13 @@ def cmd_limit_arith(args):
             raise ValueError(f"--rhs is required for {args.op}")
         rhs = from_field(field, _parse_element(field, args.rhs))
     out, ledger = limit_arith(args.op, lhs, rhs)
-    appr = to_approximation(out, args.digits)
-    _emit(
-        {
-            "config": _config(args),
-            "approximation": appr.to_json(),
-            "ledger": ledger.to_json(delivered=args.digits),
-        }
-    )
-    return 0
+    appr = to_approximation(out, args.digits).to_json()
+    return {"approximation": appr, "ledger": ledger.to_json(delivered=args.digits)}
 
 
 def cmd_laws(args):
-    seed = _seed_of(args)
     reports = suites.REGISTRY[args.suite](
-        random.Random(seed),
+        random.Random(args.seed),
         field=args.field,
         p=args.p,
         samples=args.samples,
@@ -197,14 +153,7 @@ def cmd_laws(args):
         digits=args.digits,
     )
     ok = all(r.passed for r in reports)
-    _emit(
-        {
-            "config": {**_config(args), "seed": seed},
-            "reports": [r.to_json() for r in reports],
-            "pass": ok,
-        }
-    )
-    return 0 if ok else 1
+    return {"reports": [r.to_json() for r in reports], "pass": ok}
 
 
 def build_parser():
@@ -247,7 +196,6 @@ def build_parser():
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("embed", help="embed an extension element as digits")
-    sp.add_argument("--ext", default="quadratic", choices=["quadratic"])
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--x", default=None)
     sp.add_argument("--digits", type=_digits, default=8)
@@ -279,10 +227,15 @@ def run(argv=None):
         return 2 if exc.code else 0
     try:
         _check_window(args)
-        return args.fn(args)
+        if hasattr(args, "seed"):
+            args.seed = _seed_of(args)
+        payload = args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    config = {k: v for k, v in vars(args).items() if k != "fn"}
+    _emit({"config": config, **payload})
+    return 0 if payload.get("pass", True) else 1
 
 
 def main():

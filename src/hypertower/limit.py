@@ -104,10 +104,10 @@ class PrecisionLedger:
         return delivered + self.total_loss
 
     def merged(self, *others, extra=None):
-        entries = list(self.entries)
+        # an entry reached through several operands is one event, listed
+        # once; two separate cancellations with equal fields stay two
+        entries = list({id(e): e for ld in (self, *others) for e in ld.entries}.values())
         total = max([self.total_loss] + [o.total_loss for o in others])
-        for o in others:
-            entries.extend(o.entries)
         if extra is not None:
             entries.append(extra)
             total += extra.loss

@@ -45,7 +45,7 @@ def test_coset_and_project(capsys):
 
 
 def test_embed(capsys):
-    code, out, _ = invoke(capsys, "embed", "--ext", "quadratic", "--p", "5", "--digits", "3")
+    code, out, _ = invoke(capsys, "embed", "--p", "5", "--digits", "3")
     assert code == 0
     doc = json.loads(out)
     assert doc["approximation"]["digits"] == [1, 3, 0]
@@ -500,11 +500,11 @@ COMMAND_DIGESTS = {
     ),
     "embed": (
         ("embed", "--p", "13", "--digits", "20"),
-        "bdbddc91e879a881625dba8e6824159aa17ddc28ee42aa922ca6be385a7789e1",
+        "c0ef404034e59dabe8e0b28de3475dee03254a3ed7940f82f0025d819600262f",
     ),
     "embed-pden": (
         ("embed", "--p", "7", "--x", '{"a": "1/49", "b": "5/7"}', "--digits", "10"),
-        "da86df47ab6280652f899f02cd1896240efa881d33f5256b60aa3fd0c188f096",
+        "c85733cedb8d429ecd2cb37a299f45220fa847b719ac49fd5edf41f86d029cdb",
     ),
     "coset-rational": (
         ("coset", "--p", "5", "--gamma", "3", "--x=-7/50"),
@@ -517,6 +517,18 @@ COMMAND_DIGESTS = {
     "coset-quadratic": (
         ("coset", "--field", "quadratic", "--p", "5", "--gamma", "3", "--x", _QUAD),
         "1890b7d32481989786216aeb1416410638309f7e75affd54f162a4389d3b857e",
+    ),
+    "project-rational": (
+        ("project", "--p", "5", "--x=-7/50", "--from", "3", "--to", "1"),
+        "87317a172ae1365c54f387539c7e33c11a2639cde7c91fd65f92be3ac6b59136",
+    ),
+    "project-function": (
+        ("project", "--field", "function", "--p", "5", "--x", _FUNC, "--from", "3", "--to", "1"),
+        "6636ff7c2feec18a6a4ace07a52891aa67318c16db7a270bb5bd87a7a3e41473",
+    ),
+    "project-quadratic": (
+        ("project", "--field", "quadratic", "--p", "5", "--x", _QUAD, "--from", "4", "--to", "0"),
+        "7f999a3fe67db570a92782c9f9e9769e20594a86191e9c43dfec6d1ceb517959",
     ),
     "hyperadd-rational": (
         ("hyperadd", "--p", "5", "--gamma", "2", "--x=3/25", "--y=-2/25"),

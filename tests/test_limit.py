@@ -162,8 +162,19 @@ class TestArith:
         # s + s = 1250 loses nothing more: v(1250) = v(625) = 4
         double, ld = limit_arith("add", s, s)
         assert ld.to_json(delivered=3)["requested"] == 7
-        assert len(ld.entries) == 3  # both copies of s's loss, and the new one
+        # s's loss reaches the sum through both operands but is one event,
+        # so it is listed once, beside the new entry of loss 0
+        assert len(ld.entries) == 2
         assert to_approximation(double, 3) == Q5.expand(1250, 3)
+
+    def test_ledger_of_repeated_self_addition_stays_linear(self):
+        # an entry that both operands carry is listed once: twelve
+        # self-additions add one entry each, not 2^13 - 1 entries in all
+        s, _ = limit_arith("add", from_field(Q5, 1), from_field(Q5, 624))
+        for _ in range(12):
+            s, ledger = limit_arith("add", s, s)
+        assert len(ledger.entries) <= 13
+        assert ledger.total_loss == 4
 
     def test_ring_laws_at_precision(self):
         rng = random.Random(21)

@@ -144,6 +144,7 @@ def cmd_limit_arith(args):
 
 
 def cmd_laws(args):
+    args.seed = _seed_of(args)  # echoed in the config as resolved
     reports = suites.REGISTRY[args.suite](
         random.Random(args.seed),
         field=args.field,
@@ -227,14 +228,14 @@ def run(argv=None):
         return 2 if exc.code else 0
     try:
         _check_window(args)
-        if hasattr(args, "seed"):
-            args.seed = _seed_of(args)
         payload = args.fn(args)
+        # inside the try: json.dumps refuses an int past Python's digit
+        # limit with a ValueError, and a failed run writes no stdout
+        config = {k: v for k, v in vars(args).items() if k != "fn"}
+        _emit({"config": config, **payload})
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = {k: v for k, v in vars(args).items() if k != "fn"}
-    _emit({"config": config, **payload})
     return 0 if payload.get("pass", True) else 1
 
 

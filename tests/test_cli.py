@@ -215,7 +215,7 @@ def test_integer_element_inputs_parse(capsys, field, text, rep):
     assert json.loads(out)["coset"]["rep"] == rep
 
 
-def test_unknown_extension_exit_two(capsys):
+def test_unknown_option_exit_two(capsys):
     code, out, _ = invoke(capsys, "embed", "--ext", "cubic", "--p", "5")
     assert code == 2 and out == ""
 
@@ -243,6 +243,9 @@ def test_project_upward_exit_two(capsys):
     [
         ("abc", ("laws", "--suite", "tropical", "--samples", "16")),
         (None, ("limit-arith", "--op", "add", "--lhs", "1")),
+        # a 4,300-digit gamma parses, but the ball's 4,301-digit radius is
+        # past Python's int-to-str limit when the output is written
+        (None, ("hyperadd", "--p", "5", "--gamma", "9" * 4300, "--x", "5", "--y", "5")),
     ],
 )
 def test_value_errors_exit_two(capsys, monkeypatch, seed_env, argv):

@@ -152,10 +152,12 @@ def _descriptor_checks(field, report, x, y, gamma, vx, vy):
 
 
 def _spot_units(p, gamma):
-    """Units u probing the level boundary: 1, 1 +- p^j for j around the
-    level, and 1/(1 + p)."""
+    """Multipliers u probing the level boundary, each once: 1, 1 +- p^j for
+    the distinct j of (gamma + 1, gamma, gamma - 1, 0), and 1/(1 + p).
+    j = 0 gives u = 0, which is not a unit: it probes the operands
+    themselves."""
     us = [Fraction(1)]
-    for j in (gamma + 1, gamma, gamma - 1, 0):
+    for j in dict.fromkeys((gamma + 1, gamma, gamma - 1, 0)):
         us.append(1 + Fraction(p) ** j)
         us.append(1 - Fraction(p) ** j)
     us.append(Fraction(1, 1 + p))
@@ -163,105 +165,27 @@ def _spot_units(p, gamma):
 
 
 def _spot_candidates(field, x, y, units):
-    """Candidates z = x + y*u (and symmetric) for the given units u."""
-    out = []
+    """The distinct candidates z = x + y*u and y + x*u for the given
+    multipliers u, in first-seen order; u = 1 gives x + y once."""
+    out = {}
     for u in units:
-        out.append(field.add(x, field.mul(y, u)))
-        out.append(field.add(field.mul(x, u), y))
-    return out
+        out[field.add(x, field.mul(y, u))] = None
+        out[field.add(field.mul(x, u), y)] = None
+    return list(out)
 
 
-def _pair_check(field, report, x, y, gamma, vx, vy, units):
-    """One sampled pair: descriptor facts and, when spot ``units`` are
-    given, their candidates through both routes.
-
-    The descriptor check decides the pair's whole candidate set: for
-    nonzero x and y, z = x + y*u (or y + x*u) belongs by definition when
-    v(u - 1) > gamma + min(0, vx - vy) (or vy - vx), and the descriptor
-    induces the same thresholds exactly when its radius is
-    gamma + min(vx, vy).
-    """
-    report.tick()
-    s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
-    if units is None:
-        return
-    zs = _spot_candidates(field, x, y, units)
-    # the zero class joins the batch, to check the descriptor's zero flag
-    wants = definitional_member(field, zs + [field.zero()], x, y, gamma)
-    for z, want in zip(zs, wants):
-        got = hypersum_contains(s, coset_of(field, z, gamma))
-        if want != got:
-            report.fail(
-                kind="membership",
-                x=str(x),
-                y=str(y),
-                z=str(z),
-                gamma=gamma,
-                definitional=want,
-                descriptor=got,
-            )
-    if wants[-1] != s.contains_zero:
-        report.fail(kind="zero-flag", x=str(x), y=str(y), gamma=gamma)
-
-
-def _exhaustive_pair(field, report, x, y, gamma, vx, vy, ks, classes, memo, vu1):
-    """One ordered pair of the exhaustive tier.
-
-    ``ks`` indexes into ``classes`` the candidates z1 = x + y*u and then
-    z2 = y + x*u over the universe of u, whose v(u - 1) is ``vu1``.  Each
-    defining 1-unit test reduces to a threshold on v(u - 1):
-    z1 - x = y(u-1) and z1 - y = x(1 + y(u-1)/x) give
-    v(u-1) > gamma + min(0, vx - vy), that is
-    vu + vy > gamma + min(vx, vy), and symmetrically for z2.  With
-    v(0) = INF the same inequality covers a zero operand: for y = 0 every
-    z1 is x and belongs, and for x = 0 the test is vu > gamma.  ``vu = INF``
-    (u = 1) passes every threshold.
-
-    Whether a class belongs to a sum depends on the sum alone, so ``memo``
-    maps the descriptor that ``hyperadd`` returned to the verdicts decided
-    on it so far, by candidate index; each is asked of the route once.
-    """
-    s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
-    report.tick()
-    t = gamma + min(vx, vy)
-    wants = [vu + vy > t for vu in vu1] + [vu + vx > t for vu in vu1]
-    facts = memo.setdefault((s.center.rep, s.radius, s.contains_zero), {})
-    for k in ks:
-        if k not in facts:
-            facts[k] = hypersum_contains(s, classes[k])
-    got = [facts[k] for k in ks]
-    if got == wants:
-        return
-    for k, verdict, want in zip(ks, got, wants):
-        if verdict != want:
-            report.fail(
-                kind="exhaustive-membership",
-                x=str(x),
-                y=str(y),
-                z=str(classes[k].rep),
-                gamma=gamma,
-            )
-
-
-def lee_suite(
-    p,
-    gamma,
-    rng,
-    *,
-    exhaustive_bound=6,
-    sample_bound=50,
-    sample_pairs=4000,
-):
+def lee_suite(p, gamma, rng, *, exhaustive_bound, sample_bound, sample_pairs):
     """Two-route membership suite for one (p, level) configuration.
 
-    Tier one is exhaustive: every pair from the small universe, every
-    candidate from the same universe, materialized through both routes.
-    Candidates are shared by value: each distinct sum x + y*u gets one
-    class per configuration, whichever pairs it serves.  Verdicts are
-    shared per descriptor: pairs whose sums have the same descriptor ask
-    the route about each candidate once.  Tier two draws pairs from the
-    stated larger universe, checks each pair's sum descriptor, which
-    decides its full candidate set, and materializes a stratified spot set.
+    Tier one is exhaustive: each ordered pair (x, y) of the small universe
+    checks its candidates x + y*u, u from the same universe, through both
+    routes; y + x*u are pair (y, x)'s.  Candidates are shared by value: each
+    distinct sum x + y*u gets one class per configuration, whichever pairs
+    it serves.  Verdicts are shared per descriptor: pairs whose sums have
+    the same descriptor ask the route about each candidate once.  Tier two
+    draws pairs from the stated larger universe, checks each pair's sum
+    descriptor, which decides its full candidate set, and materializes a
+    spot set of distinct candidates.
     """
     field = PadicRationals(p)
     report = LawReport(f"lee-two-route[p={p},gamma={gamma}]")
@@ -272,13 +196,39 @@ def lee_suite(
     vu1 = [padic_valuation(u - 1, p) for u in small]
     sums, rows = _candidate_table(exhaustive_bound)
     classes = [coset_of(field, z, gamma) for z in sums]
+    # Whether a class belongs to a sum depends on the sum alone, so memo
+    # maps the descriptor that hyperadd returned to the verdicts decided on
+    # it so far, by candidate index; each is asked of the route once.
     memo = {}
     for i, (x, vx) in enumerate(zip(small, vals_small)):
         for j, (y, vy) in enumerate(zip(small, vals_small)):
             if x == 0 and y == 0:
                 continue
-            ks = rows[i * n + j] + rows[j * n + i]
-            _exhaustive_pair(field, report, x, y, gamma, vx, vy, ks, classes, memo, vu1)
+            report.tick()
+            s = _descriptor_checks(field, report, x, y, gamma, vx, vy)
+            # Row i*n + j indexes into classes the candidates z = x + y*u,
+            # whose v(u - 1) is vu1.  The defining 1-unit test reduces to a
+            # threshold on v(u - 1): z - x = y(u-1) and
+            # z - y = x(1 + y(u-1)/x) give v(u-1) > gamma + min(0, vx - vy),
+            # that is vu + vy > gamma + min(vx, vy).  With v(0) = INF the
+            # same inequality covers a zero operand: for y = 0 every z is x
+            # and belongs, and for x = 0 the test is vu > gamma.  vu = INF
+            # (u = 1) passes every threshold.
+            ks = rows[i * n + j]
+            t = gamma + min(vx, vy)
+            wants = [vu + vy > t for vu in vu1]
+            facts = memo.setdefault((s.center.rep, s.radius, s.contains_zero), {})
+            for k, want in zip(ks, wants):
+                if k not in facts:
+                    facts[k] = hypersum_contains(s, classes[k])
+                if facts[k] != want:
+                    report.fail(
+                        kind="exhaustive-membership",
+                        x=str(x),
+                        y=str(y),
+                        z=str(classes[k].rep),
+                        gamma=gamma,
+                    )
 
     big = reduced_rationals(sample_bound)
     units = _spot_units(p, gamma)
@@ -286,16 +236,32 @@ def lee_suite(
     for k, (x, y) in enumerate(pairs):
         if x == 0 and y == 0:
             continue
-        _pair_check(
-            field,
-            report,
-            x,
-            y,
-            gamma,
-            padic_valuation(x, p),
-            padic_valuation(y, p),
-            units if k % 8 == 0 else None,
-        )
+        report.tick()
+        # The descriptor check decides the pair's whole candidate set: for
+        # nonzero x and y, z = x + y*u (or y + x*u) belongs by definition
+        # when v(u - 1) > gamma + min(0, vx - vy) (or vy - vx), and the
+        # descriptor induces the same thresholds exactly when its radius is
+        # gamma + min(vx, vy).
+        s = _descriptor_checks(field, report, x, y, gamma, padic_valuation(x, p), padic_valuation(y, p))
+        if k % 8:
+            continue
+        zs = _spot_candidates(field, x, y, units)
+        # the zero class joins the batch, to check the descriptor's zero flag
+        wants = definitional_member(field, zs + [field.zero()], x, y, gamma)
+        for z, want in zip(zs, wants):
+            got = hypersum_contains(s, coset_of(field, z, gamma))
+            if want != got:
+                report.fail(
+                    kind="membership",
+                    x=str(x),
+                    y=str(y),
+                    z=str(z),
+                    gamma=gamma,
+                    definitional=want,
+                    descriptor=got,
+                )
+        if wants[-1] != s.contains_zero:
+            report.fail(kind="zero-flag", x=str(x), y=str(y), gamma=gamma)
     return report
 
 

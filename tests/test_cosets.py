@@ -756,9 +756,9 @@ class TestEachCheckPaidOnce:
 
 
 def _row_major_exhaustive(p, gamma, bound):
-    """The exhaustive tier as one row-major loop over ordered pairs: every
-    candidate sum built per pair, and zero-operand wants taken from
-    ``definitional_member``.  The reference for the shared-sum tier."""
+    """The exhaustive tier as one row-major loop over ordered pairs: each
+    pair's candidates x + y*u built per pair, and zero-operand wants taken
+    from ``definitional_member``.  The reference for the shared-sum tier."""
     field = PadicRationals(p)
     report = LawReport(f"lee-two-route[p={p},gamma={gamma}]")
     small = reduced_rationals(bound)
@@ -773,26 +773,21 @@ def _row_major_exhaustive(p, gamma, bound):
             vy = vals[y]
             s = suites._descriptor_checks(field, report, x, y, gamma, vx, vy)
             report.tick()
-            both = x != 0 and y != 0
-            for yu, xu, vu in zip(times[y], times[x], vu1):
-                z1, z2 = x + yu, xu + y
-                if both:
-                    cand = (
-                        (z1, vu > gamma or vy + vu - vx > gamma),
-                        (z2, vu > gamma or vx + vu - vy > gamma),
-                    )
+            for yu, vu in zip(times[y], vu1):
+                z = x + yu
+                if x != 0 and y != 0:
+                    want = vu > gamma or vy + vu - vx > gamma
                 else:
-                    cand = zip((z1, z2), suites.definitional_member(field, [z1, z2], x, y, gamma))
-                for z, want in cand:
-                    got = suites.hypersum_contains(s, coset_of(field, z, gamma))
-                    if want != got:
-                        report.fail(
-                            kind="exhaustive-membership",
-                            x=str(x),
-                            y=str(y),
-                            z=str(z),
-                            gamma=gamma,
-                        )
+                    (want,) = suites.definitional_member(field, [z], x, y, gamma)
+                got = suites.hypersum_contains(s, coset_of(field, z, gamma))
+                if want != got:
+                    report.fail(
+                        kind="exhaustive-membership",
+                        x=str(x),
+                        y=str(y),
+                        z=str(z),
+                        gamma=gamma,
+                    )
     return report
 
 
@@ -856,7 +851,7 @@ def _track_facts(monkeypatch):
 
 # hypersum_contains calls of _exhaustive_only(p, gamma, 4), one per distinct
 # (descriptor, class) fact, the same for every gamma; the ordered pairs ask
-# about 2n(n^2 - 1) = 24,288 candidates
+# about their n(n^2 - 1) = 12,144 candidates x + y*u
 EXHAUSTIVE_FACTS = {2: 7209, 3: 6783, 5: 6323}
 
 
@@ -917,7 +912,7 @@ class TestExhaustiveTier:
         for gamma in (0, 2):
             reference = _row_major_exhaustive(p, gamma, 4)
             old = set(asked)
-            assert sum(asked.values()) == 2 * len(reduced_rationals(4)) * 528
+            assert sum(asked.values()) == len(reduced_rationals(4)) * 528
             asked.clear()
             rep = _exhaustive_only(p, gamma, 4)
             assert set(asked) == old
@@ -947,10 +942,12 @@ def _ball_closed(s, c):
 
 # failure counts by kind, recorded on the row-major exhaustive tier and
 # unchanged by the shared-sum one; a sum with a zero operand is a ball
-# too, so closing the ball also closes [0] + [y] around [y]
+# too, so closing the ball also closes [0] + [y] around [y].  Each fact
+# fails once: a pair reports only its x + y*u candidates, and the spot
+# set repeats no candidate
 MUTANT_FAILURES = {
-    ("ball-closed", 0): {"exhaustive-membership": 17720, "membership": 166},
-    ("ball-closed", 1): {"exhaustive-membership": 3960, "membership": 151},
+    ("ball-closed", 0): {"exhaustive-membership": 8860, "membership": 92},
+    ("ball-closed", 1): {"exhaustive-membership": 1980, "membership": 127},
 }
 MUTANTS = {"ball-closed": _ball_closed}
 
@@ -1001,9 +998,9 @@ def _sub_valuation_off_by_one(self, x, y):
 # the small universe holds no candidate at the ball's edge, so only the
 # sampled tier's spot set catches it
 SUB_VALUATION_FAILURES = {
-    0: {"exhaustive-membership": 18216, "membership": 166},
-    1: {"exhaustive-membership": 4048, "membership": 152},
-    2: {"membership": 111},
+    0: {"exhaustive-membership": 9108, "membership": 92},
+    1: {"exhaustive-membership": 2024, "membership": 128},
+    2: {"membership": 109},
 }
 
 
@@ -1210,6 +1207,21 @@ class TestSuiteHelpers:
         universe = reduced_rationals(3)
         for x in universe:
             for y in universe:
-                assert suites._spot_candidates(field, x, y, units) == _per_pair_spot_candidates(
-                    field, x, y, gamma
+                assert suites._spot_candidates(field, x, y, units) == list(
+                    dict.fromkeys(_per_pair_spot_candidates(field, x, y, gamma))
                 )
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("gamma", [0, 1, 2])
+    def test_spot_set_repeats_nothing(self, p, gamma):
+        # each multiplier once, so each candidate is checked once: below
+        # level 2 one of gamma + 1, gamma, gamma - 1 is already 0, so three
+        # distinct j give 8 units, and at level 2 four give 10
+        field = PadicRationals(p)
+        units = suites._spot_units(p, gamma)
+        assert len(set(units)) == len(units) == (8 if gamma < 2 else 10)
+        universe = reduced_rationals(3)
+        for x in universe:
+            for y in universe:
+                zs = suites._spot_candidates(field, x, y, units)
+                assert len(set(zs)) == len(zs)

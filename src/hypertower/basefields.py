@@ -194,7 +194,9 @@ def _trim(cs):
 
 def _order(cs):
     """Index of the lowest nonzero coefficient of a nonzero tuple."""
-    return next(i for i, c in enumerate(cs) if c)
+    for i, c in enumerate(cs):
+        if c:
+            return i
 
 
 def _poly_text(cs):
@@ -259,10 +261,14 @@ def _poly_div(a, b, p, quotient=False):
 
 
 def _cancel(a, b, p):
-    """a and b, a nonzero, with their gcd found by Euclid divided out; as
-    they are when either is a nonzero constant."""
+    """a and b, both nonzero, with their gcd divided out up to a shared
+    constant: as they are when either is constant; against a monomial c*t^k
+    the gcd is t^min(k, order of the other), with no division; else Euclid's."""
     if len(a) == 1 or len(b) == 1:
         return a, b
+    if not any(a[:-1]) or not any(b[:-1]):
+        j = min(_order(a), _order(b))
+        return a[j:], b[j:]
     g, r = b, _poly_div(a, b, p)
     while r:
         g, r = r, _poly_div(g, r, p)
@@ -680,7 +686,8 @@ class RationalFunctions(ValuedField):
         while True:
             den = [rng.randrange(p) for _ in range(degree + 1)]
             if any(den):
-                return RatFunc(p, num, den)
+                # digits drawn in range: normalized with no validation
+                return RatFunc._normal(p, *_lowest_terms(p, _trim(num), _trim(den)))
 
     def to_json(self, x):
         n, d = self._parts(x)

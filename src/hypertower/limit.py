@@ -230,17 +230,24 @@ class CoherentElement:
         }
 
 
-def from_field(field, x):
-    """The coherent family of a plain field element (exact at all levels)."""
-    x = field.check(x)
-    v = field.valuation(x)
+def _exact_element(field, x, v, provenance, ledger=None):
+    """The family whose class at every level is that of x, valued v: an
+    exact element's representative and value do not depend on the level."""
     return CoherentElement(
         field,
         lambda level: _valued_coset(field, x, level, v),
         exact=True,
         known_valuation=v,
-        provenance={"kind": "from_field", "element": lambda: field.to_json(x)},
+        ledger=ledger,
+        provenance=provenance,
     )
+
+
+def from_field(field, x):
+    """The coherent family of a plain field element (exact at all levels)."""
+    x = field.check(x)
+    provenance = {"kind": "from_field", "element": lambda: field.to_json(x)}
+    return _exact_element(field, x, field.valuation(x), provenance)
 
 
 def zero_element(field):
@@ -265,11 +272,16 @@ def from_cosets(field, chain, *, known_valuation=None):
 def _levelwise(op, fn, args, *, shift=0, exact, valuation, ledger):
     """The element whose level-g class is that of fn(reps of args at g + shift).
 
-    The one construction site of derived elements.  Each link of a chain
-    of derived elements costs two frames when a level materializes (``at``
-    and the generator), so the generators are written out per arity.
+    The one construction site of derived elements.  Exact operands are their
+    own representatives at every level, so fn(values) is formed once for all
+    levels.  Otherwise each link of a chain costs two frames when a level
+    materializes (``at`` and the generator): generators are written per arity.
     """
     field = args[0].field
+    provenance = {"kind": "arith", "op": op}
+    if exact:
+        value = fn(*[e.at(0).rep for e in args])
+        return _exact_element(field, value, valuation, provenance, ledger)
     if len(args) == 1:
         (a,) = args
 
@@ -289,7 +301,7 @@ def _levelwise(op, fn, args, *, shift=0, exact, valuation, ledger):
         exact=exact,
         known_valuation=valuation,
         ledger=ledger,
-        provenance={"kind": "arith", "op": op},
+        provenance=provenance,
     )
 
 
@@ -350,10 +362,9 @@ def _add_elements(a, b):
             return out, ledger
 
     ledger = ledger.merged(extra=LossEntry("add", m, vs, discovered))
-    out = _levelwise(
-        "add", field.add, (a, b), shift=vs - m,
-        exact=a.exact and b.exact, valuation=vs, ledger=ledger,
-    )
+    if a.exact and b.exact:
+        return _exact_element(field, s, vs, {"kind": "arith", "op": "add"}, ledger), ledger
+    out = _levelwise("add", field.add, (a, b), shift=vs - m, exact=False, valuation=vs, ledger=ledger)
     return out, ledger
 
 
@@ -495,6 +506,33 @@ def check_singlevalued(a, b, n, rng):
     # the level sums are shared by every chain, each built on first reach
     sums = []
 
+    def separation(unit, off):
+        """The level where the chain of (unit, off) separates from the sum,
+        or None when it collapses onto it or is no full member-choice."""
+
+        def gen(level):
+            bump = field.mul(unit, field.uniformizer_pow(level + m + off))
+            base_rep = total.at(level).rep if vs is not INF else field.zero()
+            return coset_of(field, field.add(base_rep, bump), level)
+
+        choice = from_cosets(field, gen)
+        for level in range(n + 1):
+            if level == len(sums):
+                sums.append(hyperadd(a.at(level), b.at(level)))
+            try:
+                c = choice.at(level)
+            except CoherenceError:
+                # rejected by the compatibility invariant: consistent collapse
+                return None
+            if not hypersum_contains(sums[level], c):
+                # never a full member-choice; says nothing either way
+                return None
+        verdict = limit_eq(choice, total, n)
+        return None if verdict.equal else verdict.level
+
+    # a chain is fixed by its unit and offset, so a repeated pair reuses the
+    # first walk's verdict; ticks, draws and failures stay per chain
+    verdicts = {}
     for i in range(SINGLEVALUED_CHAINS):
         report.tick()
         unit = field.unit_digit(rng.randrange(8))
@@ -502,36 +540,10 @@ def check_singlevalued(a, b, n, rng):
         # finite sum value the choice stays coherent and must collapse
         # onto the sum; past total cancellation no coherent choice exists
         off = (vs + 1 - m) if vs is not INF else (1 + rng.randrange(3))
-
-        def gen(level, _u=unit, _off=off):
-            bump = field.mul(_u, field.uniformizer_pow(level + m + _off))
-            base_rep = total.at(level).rep if vs is not INF else field.zero()
-            return coset_of(field, field.add(base_rep, bump), level)
-
-        choice = from_cosets(field, gen)
-        coherent = True
-        member_ok = True
-        for level in range(n + 1):
-            if level == len(sums):
-                sums.append(hyperadd(a.at(level), b.at(level)))
-            s = sums[level]
-            try:
-                c = choice.at(level)
-            except CoherenceError:
-                coherent = False
-                break
-            if not hypersum_contains(s, c):
-                member_ok = False
-                break
-        if not coherent:
-            # rejected by the compatibility invariant: consistent collapse
-            continue
-        if not member_ok:
-            # never a full member-choice; says nothing either way
-            continue
-        verdict = limit_eq(choice, total, n)
-        if not verdict.equal:
-            report.fail(chain=i, separates_at=verdict.level)
+        if (unit, off) not in verdicts:
+            verdicts[unit, off] = separation(unit, off)
+        if verdicts[unit, off] is not None:
+            report.fail(chain=i, separates_at=verdicts[unit, off])
     return report
 
 

@@ -217,6 +217,9 @@ def lee_suite(p, gamma, rng, *, exhaustive_bound, sample_bound, sample_pairs):
             ks = rows[i * n + j]
             t = gamma + min(vx, vy)
             wants = [vu + vy > t for vu in vu1]
+            if vy is INF:
+                # every candidate x + 0*u is x: one fact, compared once
+                ks, wants = ks[:1], wants[:1]
             facts = memo.setdefault((s.center.rep, s.radius, s.contains_zero), {})
             for k, want in zip(ks, wants):
                 if k not in facts:

@@ -90,16 +90,22 @@ def _levels(pairs):
     return sorted({p.lower for p in pairs} | {p.upper for p in pairs})
 
 
+def _level_classes(field, x, levels):
+    """The class of x at each level, all carrying x's one valuation."""
+    v = field.valuation(x)
+    return {g: _valued_coset(field, x, g, v) for g in levels}
+
+
 def check_slice_triangles(field, pairs, elements, projector=project):
     """Value preservation and functoriality of level-lowering on samples.
 
-    ``elements`` are raw field elements; each one's class is built once per
-    level and pushed down.  A replacement ``projector`` can be supplied to
-    exercise corrupted maps.
+    ``elements`` are raw field elements; each one is valued once, and its
+    class is built once per level and pushed down.  A replacement
+    ``projector`` can be supplied to exercise corrupted maps.
     """
     report = LawReport("slice-triangles")
     levels = _levels(pairs)
-    classes = [(x, {g: coset_of(field, x, g) for g in levels}) for x in elements]
+    classes = [(x, _level_classes(field, x, levels)) for x in elements]
     for pair in pairs:
         for x, at in classes:
             report.tick()
@@ -220,16 +226,18 @@ def check_projection_containment(field, pairs, elements):
 
     The lowered center is the center of the lowered sum and the radius
     can only shrink, so ball containment holds without sampling members.
-    Each sum is built once per level and read by every pair through it;
-    two zeros, whose sum is {[0]} at every level, are not counted.
+    Each element is valued and its classes built once, each sum once per
+    level and read by every pair through it; two zeros, whose sum is {[0]}
+    at every level, are not counted.
     """
     report = LawReport("projection-ball-containment")
     levels = _levels(pairs)
-    for i, x in enumerate(elements):
-        for y in elements[i:]:
+    classes = [_level_classes(field, x, levels) for x in elements]
+    for i, (x, cx) in enumerate(zip(elements, classes)):
+        for y, cy in zip(elements[i:], classes[i:]):
             if field.is_zero(x) and field.is_zero(y):
                 continue
-            sums = {g: hyperadd(coset_of(field, x, g), coset_of(field, y, g)) for g in levels}
+            sums = {g: hyperadd(cx[g], cy[g]) for g in levels}
             for pair in pairs:
                 report.tick()
                 su, sl = sums[pair.upper], sums[pair.lower]

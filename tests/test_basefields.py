@@ -869,6 +869,52 @@ def _euclid_gcd(a, b, p):
     return [c * inv_lead % p for c in a]
 
 
+class TestMonomialCancel:
+    """Against a monomial c*t^k, ``_cancel`` divides out t^min(k, order of
+    the other) with no division; Euclid is the referee."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_euclid(self, monkeypatch, p):
+        divisions = []
+        real = basefields._poly_div
+
+        def counting(*args, **kwargs):
+            divisions.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(basefields, "_poly_div", counting)
+        rng = random.Random(71 + p)
+        shifted = 0
+        for _ in range(120):
+            other = _draw_poly(rng, p, 2, 7) or (0, 1)
+            if rng.random() < 0.5:
+                other = (0,) * rng.randint(1, 3) + other
+            mono = (0,) * rng.randint(0, 5) + (rng.randrange(1, p),)
+            for a, b in ((mono, other), (other, mono)):
+                ca, cb = basefields._cancel(a, b, p)
+                # the same ratio, in lowest terms, with Euclid's gcd divided out
+                assert _conv(ca, b, p) == _conv(cb, a, p), (a, b)
+                assert _euclid_gcd(ca, cb, p) == [1], (a, b)
+                g = _euclid_gcd(a, b, p)
+                assert len(ca) == len(a) - len(g) + 1, (a, b)
+                shifted += len(g) > 1
+        assert divisions == [] and shifted > 50
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_random_element_normal_form(self, p):
+        # the trusted construction equals the general constructor on the
+        # same draws
+        field = RationalFunctions(p)
+        for seed in range(40):
+            x = field.random_element(random.Random(seed))
+            draw = random.Random(seed)
+            num = [draw.randrange(p) for _ in range(4)]
+            while not any(den := [draw.randrange(p) for _ in range(4)]):
+                pass
+            want = RatFunc(p, num, den)
+            assert (x.num, x.den) == (want.num, want.den)
+
+
 class TestRatFunc:
     """The coefficient-tuple normalization against independent routes."""
 

@@ -920,6 +920,17 @@ class TestExhaustiveTier:
             assert rep.to_json() == reference.to_json()
             assert rep.passed
 
+    def test_zero_operand_row_compared_once(self, monkeypatch):
+        # every candidate x + 0*u of a pair (x, 0) is x: one fact, compared
+        # once, so a route wrong on every fact fails each (x, 0) pair once
+        real = suites.hypersum_contains
+        monkeypatch.setattr(suites, "hypersum_contains", lambda s, c: not real(s, c))
+        rep = _exhaustive_only(5, 1, 4)
+        n = len(reduced_rationals(4))
+        zero_rows = [f for f in rep.failures if f["y"] == "0"]
+        assert len(zero_rows) == len({f["x"] for f in zero_rows}) == n - 1
+        assert len(rep.failures) == (n * n - n) * n + n - 1
+
     def test_same_report_under_a_mutant(self, monkeypatch):
         # the failures may come out in another order; the report sorts them
         monkeypatch.setattr(suites, "hypersum_contains", _ball_closed)

@@ -196,6 +196,53 @@ class TestArith:
                 assert limit_eq(prod_sum, sum_prod, 12).equal
 
 
+FIELD_OPS = ("add", "sub", "neg", "mul", "inv", "valuation", "sub_valuation")
+
+
+def _exact_cases(field, rng):
+    """(op, operands, the plain field result) for every op on exact
+    operands, additions that cancel in part and in full included."""
+    x = field.random_nonzero(rng, 30)
+    y = field.random_nonzero(rng, 30)
+    # x + near = x * pi^3: a loss of 3 levels
+    near = field.add(field.neg(x), field.mul(x, field.uniformizer_pow(3)))
+    return [
+        ("add", (x, y), field.add(x, y)),
+        ("add", (x, near), field.mul(x, field.uniformizer_pow(3))),
+        ("add", (x, field.neg(x)), field.zero()),
+        ("mul", (x, y), field.mul(x, y)),
+        ("neg", (x,), field.neg(x)),
+        ("inv", (x,), field.inv(x)),
+    ]
+
+
+class TestExactArith:
+    """Exact operands give an exact result whose value is formed once:
+    every level is that value's class, built with no field operation."""
+
+    @pytest.mark.parametrize("field", [Q5, F5T, E5], ids=lambda f: f.kind)
+    def test_levels_cost_no_field_op(self, monkeypatch, field):
+        rng = random.Random(41)
+        for _ in range(4):
+            for op, operands, want in _exact_cases(field, rng):
+                e, _ = limit_arith(op, *[from_field(field, x) for x in operands])
+                assert e.exact
+                calls = Counter()
+                for name in FIELD_OPS:
+                    real = getattr(type(field), name)
+                    monkeypatch.setattr(
+                        type(field), name,
+                        lambda *args, _n=name, _r=real: calls.update([_n]) or _r(*args),
+                    )
+                classes = [e.at(g) for g in range(41)]
+                monkeypatch.undo()
+                assert not calls, (op, operands, dict(calls))
+                v = field.valuation(want)
+                for g, c in enumerate(classes):
+                    assert coset_eq(c, coset_of(field, want, g)), (op, operands, g)
+                    assert c.value() == v
+
+
 class TestZeroResults:
     """A zero result claims exactness only when a zero operand is exact."""
 
@@ -694,6 +741,111 @@ class TestSinglevalued:
         e2.at(0)
         with pytest.raises(CoherenceError):
             e2.at(1)
+
+
+def _per_chain_singlevalued(a, b, n, rng):
+    """check_singlevalued as it walked every chain, a repeated (unit,
+    offset) chain again: the reference for the walk shared by equal chains.
+    It reads ``limit.limit_eq`` at call time, so a patch reaches both."""
+    report = limit.LawReport("singlevalued-sum")
+    field = a.field
+    total, _ = limit_arith("add", a, b)
+    vs, va, vb = total.valuation(), a.valuation(), b.valuation()
+    if va is INF or vb is INF:
+        report.tick()
+        if not limit.limit_eq(total, b if va is INF else a, n).equal:
+            report.fail(law_part="degenerate-sum")
+        return report
+    m = min(va, vb)
+    sums = []
+    for i in range(limit.SINGLEVALUED_CHAINS):
+        report.tick()
+        unit = field.unit_digit(rng.randrange(8))
+        off = (vs + 1 - m) if vs is not INF else (1 + rng.randrange(3))
+
+        def gen(level, _u=unit, _off=off):
+            bump = field.mul(_u, field.uniformizer_pow(level + m + _off))
+            base_rep = total.at(level).rep if vs is not INF else field.zero()
+            return coset_of(field, field.add(base_rep, bump), level)
+
+        choice = from_cosets(field, gen)
+        coherent = member_ok = True
+        for level in range(n + 1):
+            if level == len(sums):
+                sums.append(limit.hyperadd(a.at(level), b.at(level)))
+            try:
+                c = choice.at(level)
+            except CoherenceError:
+                coherent = False
+                break
+            if not limit.hypersum_contains(sums[level], c):
+                member_ok = False
+                break
+        if not (coherent and member_ok):
+            continue
+        verdict = limit.limit_eq(choice, total, n)
+        if not verdict.equal:
+            report.fail(chain=i, separates_at=verdict.level)
+    return report
+
+
+class TestSinglevaluedAgainstPerChain:
+    """Walking each distinct (unit, offset) chain once gives the per-chain
+    loop's report and leaves the rng where it left it."""
+
+    @staticmethod
+    def _pairs(field, seed):
+        draw = random.Random(seed)
+        x = field.random_nonzero(draw, 30)
+        if seed % 4 == 0:
+            # total cancellation: the offsets are drawn, not fixed
+            return x, field.neg(x)
+        return x, field.random_nonzero(draw, 30)
+
+    def _compare(self, field, seed, n=12):
+        x, y = self._pairs(field, seed)
+        reports, states = [], []
+        for check in (check_singlevalued, _per_chain_singlevalued):
+            rng = random.Random(1000 + seed)
+            reports.append(check(from_field(field, x), from_field(field, y), n, rng).to_json())
+            states.append(rng.getstate())
+        assert reports[0] == reports[1], (field.kind, seed)
+        assert states[0] == states[1]
+        return reports[0]
+
+    @pytest.mark.parametrize("field", [Q5, F5T, E5], ids=lambda f: f.kind)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_report(self, field, seed):
+        assert self._compare(field, seed)["pass"]
+
+    @pytest.mark.parametrize("field", [Q5, F5T, E5], ids=lambda f: f.kind)
+    def test_same_failures_when_chains_separate(self, monkeypatch, field):
+        # every full member-choice separates, at a level read off a digest
+        # of its own deepest class, so a verdict served to the wrong chain
+        # would show in the report
+        walked = []
+
+        def separating(u, w, n):
+            walked.append(u)
+            digest = hashlib.sha256(repr(u.at(n).rep).encode()).digest()
+            return EqResult(False, digest[0] % (n + 1))
+
+        monkeypatch.setattr(limit, "limit_eq", separating)
+        shared = per_chain = 0
+        for seed in range(8):
+            x, y = self._pairs(field, seed)
+            for check in (check_singlevalued, _per_chain_singlevalued):
+                walked.clear()
+                check(from_field(field, x), from_field(field, y), 12, random.Random(1000 + seed))
+                if check is check_singlevalued:
+                    shared += len(walked)
+                else:
+                    per_chain += len(walked)
+            rep = self._compare(field, seed)
+            if seed % 4:
+                assert len(rep["failures"]) == limit.SINGLEVALUED_CHAINS
+        # repeated chains are walked once: fewer comparisons than chains
+        assert 0 < shared < per_chain
 
 
 class TestUniversal:

@@ -95,18 +95,41 @@ class TestSliceTriangles:
         assert rep.passed and rep.samples > 0
 
     def test_each_class_built_once(self, monkeypatch):
-        built = Counter()
+        built, valued, lowering = Counter(), Counter(), []
 
-        def counting(field, x, g):
-            built[(x, g)] += 1
-            return coset_of(field, x, g)
+        def counting(real):
+            def build(field, x, g, *value):
+                if not lowering:
+                    built[(x, g)] += 1
+                return real(field, x, g, *value)
 
-        monkeypatch.setattr(tower, "coset_of", counting)
+            return build
+
+        def projector(c, g):
+            # project builds its lowered class through _valued_coset too;
+            # those classes are the pushed-down images, not counted here
+            lowering.append(g)
+            try:
+                return project(c, g)
+            finally:
+                lowering.pop()
+
+        # a class is built through either constructor, carrying its value or not
+        for name in ("coset_of", "_valued_coset"):
+            monkeypatch.setattr(tower, name, counting(getattr(tower, name)))
+        real_valuation = PadicRationals.valuation
+
+        def valuation(field, x):
+            valued[x] += 1
+            return real_valuation(field, x)
+
+        monkeypatch.setattr(PadicRationals, "valuation", valuation)
         els = list(dict.fromkeys(elements(random.Random(16), 20)))
-        rep = check_slice_triangles(Q5, PAIRS, els)
+        rep = check_slice_triangles(Q5, PAIRS, els, projector=projector)
         # 10 pairs and 20 level triples per element, over 4 levels
         assert rep.passed and rep.samples == len(els) * (len(PAIRS) + 20)
         assert built == {(x, g): 1 for x in els for g in range(4)}
+        assert valued == {x: 1 for x in els}
 
     def test_function_field_pass(self):
         F = RationalFunctions(5)
@@ -173,10 +196,14 @@ class TestProjectionContainment:
         assert rep.passed and rep.samples > 0
 
     def test_one_sum_per_element_pair_and_level(self, monkeypatch):
-        built = Counter()
+        built, operands = Counter(), {}
 
         def counting(a, b):
             built[(a.rep, b.rep, a.level)] += 1
+            for c in (a, b):
+                # one class per (element, level), carrying its value
+                assert c._value is not None
+                operands.setdefault((c.rep, c.level), set()).add(id(c))
             return hyperadd(a, b)
 
         monkeypatch.setattr(tower, "hyperadd", counting)
@@ -187,6 +214,7 @@ class TestProjectionContainment:
         # only the element pair (zero, zero) is skipped; PAIRS[:6] spans levels 0..3
         assert set(built.values()) == {1}
         assert len(built) == (n * (n + 1) // 2 - 1) * 4
+        assert len(operands) == n * 4 and all(len(ids) == 1 for ids in operands.values())
 
     def test_memberwise_containment(self):
         rng = random.Random(10)

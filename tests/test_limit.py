@@ -831,21 +831,20 @@ class TestSinglevaluedAgainstPerChain:
             return EqResult(False, digest[0] % (n + 1))
 
         monkeypatch.setattr(limit, "limit_eq", separating)
-        shared = per_chain = 0
+        walks = Counter()
         for seed in range(8):
             x, y = self._pairs(field, seed)
+            reports = []
             for check in (check_singlevalued, _per_chain_singlevalued):
                 walked.clear()
-                check(from_field(field, x), from_field(field, y), 12, random.Random(1000 + seed))
-                if check is check_singlevalued:
-                    shared += len(walked)
-                else:
-                    per_chain += len(walked)
-            rep = self._compare(field, seed)
+                rng = random.Random(1000 + seed)
+                reports.append(check(from_field(field, x), from_field(field, y), 12, rng).to_json())
+                walks[check] += len(walked)
+            assert reports[0] == reports[1], seed
             if seed % 4:
-                assert len(rep["failures"]) == limit.SINGLEVALUED_CHAINS
+                assert len(reports[0]["failures"]) == limit.SINGLEVALUED_CHAINS
         # repeated chains are walked once: fewer comparisons than chains
-        assert 0 < shared < per_chain
+        assert 0 < walks[check_singlevalued] < walks[_per_chain_singlevalued]
 
 
 class TestUniversal:

@@ -809,27 +809,26 @@ class QuadraticExtension(ValuedField):
         """
         p = self.p
         vad, vbd = int_valuation(ad, p), int_valuation(bd, p)
-        vals = [int_valuation(num, p) - vden for num, vden in ((an, vad), (bn, vbd)) if num]
-        if not vals:
+        m = min(int_valuation(an, p) - vad if an else INF, int_valuation(bn, p) - vbd if bn else INF)
+        if m is INF:
             return INF, 0
-        m = min(vals)
+
+        def unit_part(span):
+            # (a + b s) / p^m mod p^span; v(num / den) >= m by choice of m
+            modulus, total = p ** span, 0
+            for num, den, vden, c in ((an, ad, vad, 1), (bn, bd, vbd, self.root_mod(span))):
+                if num:
+                    shift = m + vden
+                    num = num // p ** shift if shift >= 0 else num * p ** -shift
+                    total += num * c * pow(den // p ** vden, -1, modulus)
+            return total % modulus
+
+        u = unit_part(n)
+        if u % p:
+            return m, u
         # v(norm) = v(x) + v(conj x), from the cross-multiplied norm
         norm = an * an * bd * bd - (1 + p) * bn * bn * ad * ad
-        bound = int_valuation(norm, p) - 2 * (vad + vbd)
-        span = (bound - 2 * m) + n + 1
-        modulus = p ** span
-
-        def _residue(num, den, vden):
-            # num / (den * p^m) mod p^span; v(num / den) >= m by choice of m
-            if num == 0:
-                return 0
-            shift = m + vden
-            num = num // p ** shift if shift >= 0 else num * p ** -shift
-            if vden:
-                den //= p ** vden
-            return num * pow(den, -1, modulus)
-
-        u = (_residue(an, ad, vad) + _residue(bn, bd, vbd) * self.root_mod(span)) % modulus
+        u = unit_part(int_valuation(norm, p) - 2 * (vad + vbd + m) + n + 1)
         if u == 0:
             raise AssertionError("window exhausted before the leading digit")
         ord_u = int_valuation(u, p)

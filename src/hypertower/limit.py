@@ -7,12 +7,12 @@ under level-lowering, and all classes must share one valuation, with
 v(0) = INF: the classes of the zero element are zero, and no other
 element has a zero class.
 Arithmetic works level-wise on representatives.  Multiplication,
-negation and inversion lose no precision; addition can cancel, and the
-exact compensation rule is that a result correct at level g needs the
-inputs at level g + (v(sum) - min(v(a), v(b))).  A precision ledger
-records every such loss.  Equality of coherent elements is only
-semi-decidable: agreement up to a level is evidence, a disagreement at
-some level is a proof.
+negation and inversion lose no precision; addition can cancel only when
+the operands' values are equal, and ``ZERO_PROBE`` bounds the search for
+that case alone.  A result correct at level g needs the inputs at level
+g + (v(sum) - min(v(a), v(b))); a precision ledger records every such
+loss.  Equality of coherent elements is only semi-decidable: agreement
+up to a level is evidence, a disagreement at some level is a proof.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "check_universal_property",
 ]
 
-# levels the cancellation search of add reads before it calls a sum zero
+# levels add reads, on operands of equal value, before it calls a sum zero
 ZERO_PROBE = 64
 
 # member-choices that check_singlevalued samples for one pair of elements
@@ -104,8 +104,11 @@ class PrecisionLedger:
         return delivered + self.total_loss
 
     def merged(self, *others, extra=None):
-        # an entry reached through several operands is one event, listed
-        # once; two separate cancellations with equal fields stay two
+        # a ledger adding no entry and no larger total is dropped; an entry reached through
+        # several operands is one event, listed once; two cancellations with equal fields stay two
+        others = [o for o in others if o is not self and (o.entries or o.total_loss > self.total_loss)]
+        if not others and extra is None:
+            return self
         entries = list({id(e): e for ld in (self, *others) for e in ld.entries}.values())
         total = max([self.total_loss] + [o.total_loss for o in others])
         if extra is not None:
@@ -189,23 +192,20 @@ class CoherentElement:
             c = project(deep, level)
         else:
             c = self._generator(level)
-            if not isinstance(c, GammaCoset) or c.field != self.field:
+            if not isinstance(c, GammaCoset) or c.field is not self.field and c.field != self.field:
                 raise CoherenceError(level, "generator returned a foreign class")
             if c.level != level:
                 raise CoherenceError(level, f"generator returned level {c.level}")
-            self._check_value(level, c)
+            # with v(0) = INF a zero class on a nonzero element, and a nonzero
+            # class on a zero one, are value mismatches like any other
+            recorded = self._valuation
+            if recorded is not None and c.value() != recorded:
+                raise CoherenceError(level, f"value {c.value()} contradicts recorded {recorded}")
             if deep is not None and not coset_eq(project(c, deep.level), deep):
                 raise CoherenceError(level, f"disagrees with stored level {deep.level}")
             self._deepest = c
         self._memo[level] = c
         return c
-
-    def _check_value(self, level, c):
-        # with v(0) = INF a zero class on a nonzero element, and a nonzero
-        # class on a zero one, are value mismatches like any other
-        recorded = self._valuation
-        if recorded is not None and c.value() != recorded:
-            raise CoherenceError(level, f"value {c.value()} contradicts recorded value {recorded}")
 
     def valuation(self):
         """The shared valuation of the element's classes, read at level 0.
@@ -338,10 +338,13 @@ def _add_elements(a, b):
     if a.exact and b.exact:
         # exact representatives are the elements themselves
         s = field.add(a.at(0).rep, b.at(0).rep)
-        vs = field.valuation(s)
+        vs = field.valuation(s) if va == vb else m
         if vs is INF:
             return zero_element(field), ledger
         discovered = vs - m
+    elif va != vb:
+        # the dominant term fixes every level class of the sum: no cancellation
+        vs, discovered = m, 0
     else:
         # discover the valuation of the sum: a nonzero level sum whose
         # value does not exceed level + m pins it down exactly
@@ -375,18 +378,15 @@ def _mul_elements(a, b):
         # exact when a zero operand is exact, whatever the other one is
         exact = (va is INF and a.exact) or (vb is INF and b.exact)
         return _zero_result("mul", a.field, exact, ledger), ledger
-    out = _levelwise(
-        "mul", a.field.mul, (a, b), exact=a.exact and b.exact, valuation=va + vb, ledger=ledger
-    )
-    return out, ledger
+    exact = a.exact and b.exact
+    return _levelwise("mul", a.field.mul, (a, b), exact=exact, valuation=va + vb, ledger=ledger), ledger
 
 
 def _inv_element(a):
     va = a.valuation()
     if va is INF:
         raise ZeroDivisionError("inverse of the zero element")
-    out = _levelwise("inv", a.field.inv, (a,), exact=a.exact, valuation=-va, ledger=a.ledger)
-    return out, a.ledger
+    return _levelwise("inv", a.field.inv, (a,), exact=a.exact, valuation=-va, ledger=a.ledger), a.ledger
 
 
 def limit_arith(op, a, b=None):
@@ -420,7 +420,7 @@ def limit_eq(a, b, n):
     representatives at that level.  Agreement up to n is explicitly not a
     proof of equality, only of indistinguishability at that depth.
     """
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError("elements of different fields")
     ca, cb = a.at(n), b.at(n)
     if coset_eq(ca, cb):
@@ -459,10 +459,10 @@ def sigma_embed(x, rf):
     deepest class is surfaced as a ``CoherenceError`` naming the level.
     """
     w = rf.foreign.valuation(x)
-    base = rf.base
+    base, fn = rf.base, rf.fn
     return CoherentElement(
         base,
-        lambda level: coset_of(base, rf(x, level), level),
+        lambda level: GammaCoset(base, level, fn(x, level)),
         exact=False,
         known_valuation=w,
         provenance={"kind": "sigma", "element": lambda: rf.foreign.to_json(x)},

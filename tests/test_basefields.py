@@ -1068,6 +1068,57 @@ class TestQuadraticValueShortCut:
         assert field.sub_valuation(x, QuadElement(5, Fraction(3, 25), Fraction(7))) == 1
 
 
+class TestQuadraticWindowBranches:
+    """The quadratic digit window returns at once when the unit part
+    (a + b s) / p^min(v(a), v(b)) is a p-adic unit, and widens its search by
+    the norm when p divides it (a near -b s).  Both branches are checked
+    against a + b s_K in Q_p, with s_K the Hensel lift of the square root of
+    1 + p to K digits: ``expand`` against ``_direct_quadratic`` of its own
+    digits, ``representative`` against the digit resum."""
+
+    K = 80
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_both_branches_match_the_lifted_root(self, p):
+        field = QuadraticExtension(p)
+        rng = random.Random(83 + p)
+        root = int(_resum(p, 0, hensel_sqrt(p, 1 + p, 1, self.K).digits))
+
+        def unit():
+            while True:
+                u = Fraction(rng.choice([1, -1]) * rng.randint(1, 40), rng.randint(1, 40))
+                if not padic_valuation(u, p):
+                    return u
+
+        kinds = {"unit": 0, "divisible": 0}
+        for _ in range(120):
+            j = rng.randint(-2, 2)
+            b = unit() * Fraction(p) ** j
+            if rng.random() < 0.5:
+                # a = -b s mod p^(j + k): the leading k digits cancel
+                k = rng.randint(1, 8)
+                a = -b * (root % p ** k) + rng.choice([0, unit()]) * Fraction(p) ** (j + k)
+            else:
+                a = rng.choice([0, unit()]) * Fraction(p) ** rng.randint(-2, 2)
+                b = rng.choice([0, b])
+            if not a and not b:
+                continue
+            x = QuadElement(p, a, b)
+            image = a + b * root  # agrees with x's image past v(b) + K
+            m = min(padic_valuation(c, p) for c in (a, b) if c)
+            kinds["unit" if padic_valuation(image, p) == m else "divisible"] += 1
+            for n in (1, 4, 12):
+                appr = field.expand(x, n)
+                assert appr.digits[0] and all(0 <= d < p for d in appr.digits), (x, n)
+                assert appr.shift + n <= (padic_valuation(b, p) + self.K if b else INF)
+                resummed = _direct_quadratic(p, appr.shift, appr.digits)
+                assert resummed.b == 0
+                assert padic_valuation(image - resummed.a, p) >= appr.shift + n, (x, n)
+            for level in (0, 5, 11):
+                assert field.representative(x, level) == _digit_resum_representative(field, x, level)
+        assert min(kinds.values()) > 40, kinds
+
+
 @pytest.mark.parametrize(
     "build",
     [

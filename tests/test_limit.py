@@ -19,6 +19,8 @@ from hypertower import limit
 from hypertower.limit import (
     CoherenceError,
     EqResult,
+    LossEntry,
+    PrecisionLedger,
     RepresentativeFinder,
     check_singlevalued,
     check_universal_property,
@@ -176,6 +178,22 @@ class TestArith:
         assert len(ledger.entries) == 13
         assert ledger.total_loss == 4
 
+    def test_merge_that_adds_nothing_keeps_the_ledger(self):
+        _, ledger = limit_arith("add", from_field(Q5, 1), from_field(Q5, 624))
+        empty = PrecisionLedger()
+        for merged in (ledger.merged(), ledger.merged(empty), ledger.merged(ledger, empty)):
+            assert merged == ledger
+        assert empty.merged(empty) == empty
+        # an other ledger with no entry but a larger total still raises it
+        assert ledger.merged(PrecisionLedger(total_loss=9)) == PrecisionLedger(ledger.entries, 9)
+
+    def test_merge_appends_the_extra_entry(self):
+        _, ledger = limit_arith("add", from_field(Q5, 1), from_field(Q5, 624))
+        extra = LossEntry("add", 4, 6, 2)
+        for merged in (ledger.merged(extra=extra), ledger.merged(ledger, extra=extra)):
+            assert merged.entries == ledger.entries + (extra,)
+            assert merged.total_loss == ledger.total_loss + 2
+
     def test_ring_laws_at_precision(self):
         rng = random.Random(21)
         for field in (Q5, RationalFunctions(5)):
@@ -194,6 +212,81 @@ class TestArith:
                 bc2, _ = limit_arith("mul", b, c)
                 sum_prod, _ = limit_arith("add", ac, bc2)
                 assert limit_eq(prod_sum, sum_prod, 12).equal
+
+
+def _counting_finder(ext, base):
+    """A finder with the representatives of ``hensel_finder`` that records
+    the level of each call."""
+    levels = []
+
+    def fn(x, level):
+        levels.append(level)
+        return ext.representative(x, level)
+
+    return RepresentativeFinder(base, ext, fn), levels
+
+
+class TestUltrametricAdd:
+    """A sum of operands of different values cannot cancel: it takes the
+    smaller value with a loss-0 entry and reads no operand class until a
+    level of the sum is asked."""
+
+    def test_distinct_values_read_no_class(self):
+        rf, levels = _counting_finder(E5, Q5)
+        r, five_r = E5.generator(), E5.element({"b": 5})
+        total, ledger = limit_arith("add", sigma_embed(r, rf), sigma_embed(five_r, rf))
+        assert levels == []
+        assert [
+            (e["op"], e["min_valuation"], e["result_valuation"], e["discovered_at"])
+            for e in ledger.to_json()["losses"]
+        ] == [("add", 0, 0, 0)]
+        assert ledger.total_loss == 0 and total.valuation() == 0
+        assert limit_eq(total, sigma_embed(E5.element({"b": 6}), RF5), 24).equal
+
+    def test_equal_values_still_probe(self):
+        # r = 1 + 3*5 + ... in Q_5, so r - 1 cancels the level-0 digit
+        rf, levels = _counting_finder(E5, Q5)
+        total, ledger = limit_arith("add", sigma_embed(E5.generator(), rf), from_field(Q5, -1))
+        assert levels == [0, 1]
+        assert [e.to_json() for e in ledger.entries] == [
+            {"op": "add", "min_valuation": 0, "result_valuation": 1, "loss": 1, "discovered_at": 1}
+        ]
+        assert limit_eq(total, sigma_embed(E5.element({"a": -1, "b": 1}), RF5), 24).equal
+
+    def test_contradicting_finder_raises_at_its_level(self):
+        # from level 3 on the finder's classes have value 1, not v(r) = 0;
+        # the sum reads nothing up front, so the first bad level surfaces
+        # once the sum materializes it
+        def fn(x, level):
+            rep = E5.representative(x, level)
+            return 5 * rep if level >= 3 else rep
+
+        bad = RepresentativeFinder(Q5, E5, fn)
+        total, _ = limit_arith("add", sigma_embed(E5.generator(), bad), sigma_embed(E5.element({"b": 5}), RF5))
+        for g in range(3):
+            total.at(g)
+        with pytest.raises(CoherenceError) as exc:
+            total.at(3)
+        assert exc.value.level == 3
+
+    @pytest.mark.parametrize(
+        "y, calls",
+        [({"a": 5, "b": 10}, 6), ({"a": 2, "b": 1}, 8)],
+        ids=["distinct-values", "equal-values"],
+    )
+    def test_finder_calls_of_one_sigma_pair(self, y, calls):
+        # one pair of the sigma-completion benchmark's shape: additivity and
+        # multiplicativity at depth 32, then value preservation.  With
+        # values 0 and 1, each law reads three deep classes and nothing
+        # else; with equal values, add also reads both operands at level 0
+        rf, levels = _counting_finder(E5, Q5)
+        x, y = E5.generator(), E5.element(y)
+        add_rhs, _ = limit_arith("add", sigma_embed(x, rf), sigma_embed(y, rf))
+        assert limit_eq(sigma_embed(E5.add(x, y), rf), add_rhs, 32).equal
+        mul_rhs, _ = limit_arith("mul", sigma_embed(x, rf), sigma_embed(y, rf))
+        assert limit_eq(sigma_embed(E5.mul(x, y), rf), mul_rhs, 32).equal
+        assert sigma_embed(x, rf).valuation() == 0
+        assert len(levels) == calls
 
 
 FIELD_OPS = ("add", "sub", "neg", "mul", "inv", "valuation", "sub_valuation")

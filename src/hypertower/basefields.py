@@ -411,7 +411,7 @@ class ValuedField:
         return self.check(1 + i % (self.p - 1))
 
     def uniformizer_pow(self, k):
-        return self.check(Fraction(self.p) ** k)
+        return self.check(Fraction(self.p ** k) if k >= 0 else Fraction(1, self.p ** -k))
 
     def descriptor(self):
         return {"kind": self.kind, "p": self.p}
@@ -812,20 +812,20 @@ class QuadraticExtension(ValuedField):
         m = min(int_valuation(an, p) - vad if an else INF, int_valuation(bn, p) - vbd if bn else INF)
         if m is INF:
             return INF, 0
+        # a / p^m = A / D and b / p^m = B / E, D and E prime to p (exact, as v >= m)
+        ka, kb = m + vad, m + vbd
+        A = an // p ** ka if ka >= 0 else an * p ** -ka
+        B = bn // p ** kb if kb >= 0 else bn * p ** -kb
+        D, E = ad // p ** vad, bd // p ** vbd
 
         def unit_part(span):
-            # (a + b s) / p^m mod p^span; v(num / den) >= m by choice of m
-            modulus, total = p ** span, 0
-            for num, den, vden, c in ((an, ad, vad, 1), (bn, bd, vbd, self.root_mod(span))):
-                if num:
-                    shift = m + vden
-                    num = num // p ** shift if shift >= 0 else num * p ** -shift
-                    total += num * c * pow(den // p ** vden, -1, modulus)
-            return total % modulus
+            # (a + b s) / p^m = (A E + B D s) / (D E) mod p^span: one inverse
+            modulus = p ** span
+            return (A * E + B * D * self.root_mod(span)) * pow(D * E, -1, modulus) % modulus
 
-        u = unit_part(n)
-        if u % p:
-            return m, u
+        # s = 1 mod p: p divides the unit part exactly when it divides A E + B D
+        if (A * E + B * D) % p:
+            return m, unit_part(n)
         # v(norm) = v(x) + v(conj x), from the cross-multiplied norm
         norm = an * an * bd * bd - (1 + p) * bn * bn * ad * ad
         u = unit_part(int_valuation(norm, p) - 2 * (vad + vbd + m) + n + 1)

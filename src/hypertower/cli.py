@@ -220,10 +220,15 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # built by the first run, not at import
+
+
 def run(argv=None):
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

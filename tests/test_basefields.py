@@ -1118,6 +1118,50 @@ class TestQuadraticWindowBranches:
                 assert field.representative(x, level) == _digit_resum_representative(field, x, level)
         assert min(kinds.values()) > 40, kinds
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_unreduced_components_match_the_lifted_root(self, p):
+        # sub_valuation hands the window cross-multiplied components: p and
+        # a common factor may sit in both numerator and denominator of each
+        field = QuadraticExtension(p)
+        rng = random.Random(191 + p)
+        depth = 260  # the lift, past the deepest window: 200 digits after v
+        root = int(_resum(p, 0, hensel_sqrt(p, 1 + p, 1, depth).digits))
+
+        def unit():
+            while True:
+                u = Fraction(rng.choice([1, -1]) * rng.randint(1, 40), rng.randint(1, 40))
+                if not padic_valuation(u, p):
+                    return u
+
+        def unreduced(c):
+            k = rng.randint(1, 30) * p ** rng.randint(0, 3)
+            return c.numerator * k, c.denominator * k
+
+        near = 0
+        for _ in range(80):
+            j = rng.randint(-2, 2)
+            b = rng.choice([0, unit(), unit()]) * Fraction(p) ** j
+            if b and rng.random() < 0.6:
+                # a = -b s mod p^(j + k): the leading k digits cancel
+                k = rng.randint(1, 8)
+                a = -b * (root % p ** k) + rng.choice([0, unit()]) * Fraction(p) ** (j + k)
+                near += 1
+            else:
+                a = rng.choice([0, unit()]) * Fraction(p) ** rng.randint(-2, 2)
+            image = a + b * root  # agrees with the image of a + b r past v(b) + depth
+            for n in (1, 33, 200):
+                v, u = field._window_ints(*unreduced(a), *unreduced(b), n)
+                if not a and not b:
+                    assert (v, u) == (INF, 0)
+                    continue
+                digits = _plain_digits(u, p, n)
+                assert u < p ** n and digits[0], (a, b, n)
+                assert v + n <= (padic_valuation(b, p) + depth if b else INF)
+                resummed = _direct_quadratic(p, v, digits)
+                assert padic_valuation(image - resummed.a, p) >= v + n, (a, b, n)
+                assert field.expand(QuadElement(p, a, b), n) == Approximation(v, digits, p)
+        assert near > 20
+
 
 @pytest.mark.parametrize(
     "build",

@@ -220,15 +220,10 @@ def build_parser():
     return parser
 
 
-_PARSER = None  # built by the first run, not at import
-
-
 def run(argv=None):
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    parser = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

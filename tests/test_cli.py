@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hypertower import cli, suites
+from hypertower import suites
 from hypertower.cli import MAX_DIGITS, run
 from hypertower.tower import LawReport
 
@@ -228,38 +228,6 @@ def test_unknown_suite_exit_two(capsys):
 def test_usage_error_exit_two(capsys):
     code, _, _ = invoke(capsys, "coset", "--p", "5", "--x", "1")  # missing --gamma
     assert code == 2
-
-
-def _fresh_parser(monkeypatch):
-    """Forget the process's parser and count the builds that follow."""
-    builds = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
-    return builds
-
-
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    builds = _fresh_parser(monkeypatch)
-    invoke(capsys, "coset", "--p", "5", "--gamma", "1", "--x", "7")
-    invoke(capsys, "laws", "--suite", "tropical", "--seed", "2", "--samples", "8")
-    assert len(builds) == 1
-
-
-@pytest.mark.parametrize(
-    "first",
-    [("coset", "--p", "5", "--x", "1"), ("laws", "--suite", "bogus"), ("--help",), ("laws", "--help")],
-    ids=["missing-option", "bad-choice", "help", "subcommand-help"],
-)
-def test_reused_parser_gives_fresh_bytes(capsys, monkeypatch, first):
-    # a usage error or a help request leaves nothing behind in the parser
-    valid = ("laws", "--suite", "singlevalued", "--seed", "5", "--samples", "16", "--field", "quadratic")
-    _fresh_parser(monkeypatch)
-    fresh = invoke(capsys, *valid)
-    monkeypatch.setattr(cli, "_PARSER", None)
-    code, _, _ = invoke(capsys, *first)
-    assert code == (0 if "--help" in first else 2)
-    assert invoke(capsys, *valid) == fresh
 
 
 def test_project_upward_exit_two(capsys):

@@ -230,13 +230,15 @@ class CoherentElement:
         }
 
 
-def _exact_element(field, x, v, provenance, ledger=None):
+def _exact_element(field, x, v, provenance, ledger=None, *, exact=True):
     """The family whose class at every level is that of x, valued v: an
-    exact element's representative and value do not depend on the level."""
+    exact element's representative and value do not depend on the level.
+    With ``exact=False`` the same classes claim no exactness: a zero result
+    of an inexact operand."""
     return CoherentElement(
         field,
         lambda level: _valued_coset(field, x, level, v),
-        exact=True,
+        exact=exact,
         known_valuation=v,
         ledger=ledger,
         provenance=provenance,
@@ -306,41 +308,30 @@ def _levelwise(op, fn, args, *, shift=0, exact, valuation, ledger):
 
 
 def _zero_result(op, field, exact, ledger):
-    """A zero result of ``op``: ``zero_element`` when it is exact, else a
-    zero family that claims no exactness and keeps its arith provenance."""
-    if exact:
-        return zero_element(field)
-    zero = field.zero()
-    return CoherentElement(
-        field,
-        lambda level: coset_of(field, zero, level),
-        exact=False,
-        known_valuation=INF,
-        ledger=ledger,
-        provenance={"kind": "arith", "op": op},
-    )
+    """A zero result of ``op``, carrying ``ledger``: with the provenance of
+    ``zero_element`` when it is exact, else a zero family that claims no
+    exactness and keeps its arith provenance."""
+    provenance = zero_element(field).provenance if exact else {"kind": "arith", "op": op}
+    return _exact_element(field, field.zero(), INF, provenance, ledger, exact=exact)
 
 
 def _add_elements(a, b):
     field = a.field
     va, vb = a.valuation(), b.valuation()
     ledger = a.ledger.merged(b.ledger)
+    exact = a.exact and b.exact
     if va is INF and vb is INF:
-        return _zero_result("add", field, a.exact and b.exact, ledger), ledger
+        return _zero_result("add", field, exact, ledger)
     if va is INF or vb is INF:
-        out = _levelwise(
-            "add", field.add, (a, b),
-            exact=a.exact and b.exact, valuation=min(va, vb), ledger=ledger,
-        )
-        return out, ledger
+        return _levelwise("add", field.add, (a, b), exact=exact, valuation=min(va, vb), ledger=ledger)
     m = min(va, vb)
 
-    if a.exact and b.exact:
+    if exact:
         # exact representatives are the elements themselves
         s = field.add(a.at(0).rep, b.at(0).rep)
         vs = field.valuation(s) if va == vb else m
         if vs is INF:
-            return zero_element(field), ledger
+            return _zero_result("add", field, True, ledger)
         discovered = vs - m
     elif va != vb:
         # the dominant term fixes every level class of the sum: no cancellation
@@ -362,51 +353,43 @@ def _add_elements(a, b):
             # does not prove the sum is zero
             out = _zero_result("add", field, False, ledger)
             out.provenance["apparent_zero_at"] = ZERO_PROBE
-            return out, ledger
+            return out
 
     ledger = ledger.merged(extra=LossEntry("add", m, vs, discovered))
-    if a.exact and b.exact:
-        return _exact_element(field, s, vs, {"kind": "arith", "op": "add"}, ledger), ledger
-    out = _levelwise("add", field.add, (a, b), shift=vs - m, exact=False, valuation=vs, ledger=ledger)
-    return out, ledger
-
-
-def _mul_elements(a, b):
-    ledger = a.ledger.merged(b.ledger)
-    va, vb = a.valuation(), b.valuation()
-    if va is INF or vb is INF:
-        # exact when a zero operand is exact, whatever the other one is
-        exact = (va is INF and a.exact) or (vb is INF and b.exact)
-        return _zero_result("mul", a.field, exact, ledger), ledger
-    exact = a.exact and b.exact
-    return _levelwise("mul", a.field.mul, (a, b), exact=exact, valuation=va + vb, ledger=ledger), ledger
-
-
-def _inv_element(a):
-    va = a.valuation()
-    if va is INF:
-        raise ZeroDivisionError("inverse of the zero element")
-    return _levelwise("inv", a.field.inv, (a,), exact=a.exact, valuation=-va, ledger=a.ledger), a.ledger
+    if exact:
+        return _exact_element(field, s, vs, {"kind": "arith", "op": "add"}, ledger)
+    return _levelwise("add", field.add, (a, b), shift=vs - m, exact=False, valuation=vs, ledger=ledger)
 
 
 def limit_arith(op, a, b=None):
-    """Level-wise arithmetic on coherent elements, with its precision ledger.
+    """Level-wise arithmetic on coherent elements, with the precision ledger
+    the result carries.
 
     add compensates for cancellation by querying the inputs deeper, so
     the delivered level is always exact; mul/neg/inv are loss-free.
     """
     if op == "add":
-        return _add_elements(a, b)
-    if op == "mul":
-        return _mul_elements(a, b)
-    if op == "neg":
-        out = _levelwise(
-            "neg", a.field.neg, (a,), exact=a.exact, valuation=a._valuation, ledger=a.ledger
-        )
-        return out, a.ledger
-    if op == "inv":
-        return _inv_element(a)
-    raise ValueError(f"unknown operation: {op!r}")
+        out = _add_elements(a, b)
+    elif op == "mul":
+        ledger = a.ledger.merged(b.ledger)
+        va, vb = a.valuation(), b.valuation()
+        if va is INF or vb is INF:
+            # exact when a zero operand is exact, whatever the other one is
+            exact = (va is INF and a.exact) or (vb is INF and b.exact)
+            out = _zero_result("mul", a.field, exact, ledger)
+        else:
+            exact = a.exact and b.exact
+            out = _levelwise("mul", a.field.mul, (a, b), exact=exact, valuation=va + vb, ledger=ledger)
+    elif op == "neg":
+        out = _levelwise("neg", a.field.neg, (a,), exact=a.exact, valuation=a._valuation, ledger=a.ledger)
+    elif op == "inv":
+        va = a.valuation()
+        if va is INF:
+            raise ZeroDivisionError("inverse of the zero element")
+        out = _levelwise("inv", a.field.inv, (a,), exact=a.exact, valuation=-va, ledger=a.ledger)
+    else:
+        raise ValueError(f"unknown operation: {op!r}")
+    return out, out.ledger
 
 
 def limit_eq(a, b, n):
@@ -483,13 +466,13 @@ def hensel_finder(ext, base):
 def check_singlevalued(a, b, n, rng):
     """Every coherent member-choice of a level-wise sum collapses to one element.
 
-    For the sum of a and b, alternative per-level members are sampled
-    inside each level's sum descriptor.  A choice that stays coherent
-    (and really is a member at every level) must be indistinguishable
-    from the canonical sum through level n; a choice that drifts is
-    rejected by the compatibility check.  Both outcomes confirm
-    single-valuedness; a coherent full member-choice that separates from
-    the sum would be a counterexample.
+    For the sum of a and b, alternative per-level members are read off
+    each level's sum descriptor: its center moved by unit * pi^(radius +
+    off).  A choice that stays coherent (and really is a member at every
+    level) must be indistinguishable from the canonical sum through level
+    n; a choice that drifts is rejected by the compatibility check.  Both
+    outcomes confirm single-valuedness; a coherent full member-choice that
+    separates from the sum would be a counterexample.
     """
     report = LawReport("singlevalued-sum")
     field = a.field
@@ -502,7 +485,6 @@ def check_singlevalued(a, b, n, rng):
         if not limit_eq(total, b if va is INF else a, n).equal:
             report.fail(law_part="degenerate-sum")
         return report
-    m = min(va, vb)
     # the level sums are shared by every chain, each built on first reach
     sums = []
 
@@ -511,9 +493,9 @@ def check_singlevalued(a, b, n, rng):
         or None when it collapses onto it or is no full member-choice."""
 
         def gen(level):
-            bump = field.mul(unit, field.uniformizer_pow(level + m + off))
-            base_rep = total.at(level).rep if vs is not INF else field.zero()
-            return coset_of(field, field.add(base_rep, bump), level)
+            s = sums[level]
+            bump = field.mul(unit, field.uniformizer_pow(s.radius + off))
+            return coset_of(field, field.add(s.center.rep, bump), level)
 
         choice = from_cosets(field, gen)
         for level in range(n + 1):
@@ -536,10 +518,9 @@ def check_singlevalued(a, b, n, rng):
     for i in range(SINGLEVALUED_CHAINS):
         report.tick()
         unit = field.unit_digit(rng.randrange(8))
-        # just past the tightest slack that still keeps membership: for a
-        # finite sum value the choice stays coherent and must collapse
-        # onto the sum; past total cancellation no coherent choice exists
-        off = (vs + 1 - m) if vs is not INF else (1 + rng.randrange(3))
+        # just inside the ball at a finite sum value; past total
+        # cancellation, where no coherent choice exists, a drawn depth
+        off = 1 if vs is not INF else 1 + rng.randrange(3)
         if (unit, off) not in verdicts:
             verdicts[unit, off] = separation(unit, off)
         if verdicts[unit, off] is not None:

@@ -547,6 +547,11 @@ COMMAND_DIGESTS = {
          "--x", _QUAD, "--y", "[1, 1]"),
         "655b33ce90a47468270425c9d6a88e178866fde71df636aa9112b84bd0e7b8ec",
     ),
+    # a cancelling sum: its value set is the open interval above the radius
+    "hyperadd-cancelling": (
+        ("hyperadd", "--p", "5", "--gamma", "1", "--x", "1", "--y", "-1"),
+        "951050bc2ac34ec3fc6179ce197cfe8826ab6e38b5434b7de64abfd51567536b",
+    ),
     "limit-arith-rational": (
         ("limit-arith", "--op", "mul", "--p", "5", "--lhs=-7/50", "--rhs", "26",
          "--digits", "10"),

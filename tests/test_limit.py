@@ -375,6 +375,15 @@ class TestZeroResults:
         assert out.valuation() is INF
         assert all(out.at(g).is_zero() for g in range(4))
 
+    def test_exact_zero_carries_its_ledger(self):
+        # (1 + 4) + (-(1 + 4)) over Q_5: the loss of 1 + 4 stays on the zero
+        five, _ = limit_arith("add", from_field(Q5, 1), from_field(Q5, 4))
+        zero, ledger = limit_arith("add", five, limit_arith("neg", five)[0])
+        assert zero.exact is True and zero.valuation() is INF
+        assert zero.ledger is ledger and ledger.total_loss == 1
+        _, later = limit_arith("add", zero, from_field(Q5, 3))
+        assert later.total_loss == 1
+
     def test_exact_zero_operand_stays_exact(self):
         chain, z = self._zero_chain(), zero_element(Q5)
         cases = [("mul", z, chain), ("mul", chain, z), ("mul", z, from_field(Q5, 3)), ("add", z, z)]
@@ -442,6 +451,7 @@ class TestDerivedElements:
     def test_bytes(self, name):
         op, *args = _derived_cases()[name]
         out, ledger = limit_arith(op, *args)
+        assert out.ledger is ledger
         text = json.dumps(
             {
                 "exact": out.exact,
@@ -849,17 +859,16 @@ def _per_chain_singlevalued(a, b, n, rng):
         if not limit.limit_eq(total, b if va is INF else a, n).equal:
             report.fail(law_part="degenerate-sum")
         return report
-    m = min(va, vb)
     sums = []
     for i in range(limit.SINGLEVALUED_CHAINS):
         report.tick()
         unit = field.unit_digit(rng.randrange(8))
-        off = (vs + 1 - m) if vs is not INF else (1 + rng.randrange(3))
+        off = 1 if vs is not INF else 1 + rng.randrange(3)
 
         def gen(level, _u=unit, _off=off):
-            bump = field.mul(_u, field.uniformizer_pow(level + m + _off))
-            base_rep = total.at(level).rep if vs is not INF else field.zero()
-            return coset_of(field, field.add(base_rep, bump), level)
+            s = sums[level]
+            bump = field.mul(_u, field.uniformizer_pow(s.radius + _off))
+            return coset_of(field, field.add(s.center.rep, bump), level)
 
         choice = from_cosets(field, gen)
         coherent = member_ok = True
@@ -996,6 +1005,20 @@ class TestUniversal:
         )
         assert not rep.passed
         assert any(f["law_part"] == "not-a-factorization" for f in rep.failures)
+
+    def test_incoherent_candidate_reported_at_its_level(self):
+        # classes of x below level 3 and of 5x from there on: the value
+        # recorded for the candidate breaks at level 3
+        def shifted(x):
+            return from_cosets(
+                Q5, lambda g: coset_of(Q5, x if g < 3 else 5 * x, g), known_valuation=Q5.valuation(x)
+            )
+
+        x = Fraction(7, 3)
+        rep = check_universal_property(Q5, [x], lambda y, g: coset_of(Q5, y, g), [("shifted", shifted)], 8)
+        assert rep.failures == [
+            {"candidate": "shifted", "element": repr(x), "law_part": "not-a-factorization", "level": 3}
+        ]
 
     def test_incoherent_sides_reported(self):
         def sides(x, g):

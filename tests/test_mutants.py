@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -115,10 +116,10 @@ def _project_off(monkeypatch, extra=()):
 def _derived_off(monkeypatch, extra=()):
     real = limit._exact_element
 
-    def exact_element(field, x, v, provenance, ledger=None):
+    def exact_element(field, x, v, provenance, ledger=None, *, exact=True):
         if provenance.get("kind") == "arith" and v is not INF:
             x = field.add(x, field.uniformizer_pow(v + 5))
-        return real(field, x, v, provenance, ledger)
+        return real(field, x, v, provenance, ledger, exact=exact)
 
     monkeypatch.setattr(limit, "_exact_element", exact_element)
 
@@ -280,6 +281,37 @@ class TestKillTable:
         MUTANTS[mutant](monkeypatch, extra=(module,))
         with pytest.raises(AssertionError):
             run()
+
+
+class TestMutantRecords:
+    """Failure counts and records of checks under a mutant, past the first
+    failure that the kill table stops at."""
+
+    @pytest.mark.parametrize(
+        "mutant,failures",
+        [
+            ("radius-forgets-level", {"rational": 44, "function": 44, "quadratic": 44}),
+            ("derived-element-off", {"rational": 41, "function": 45, "quadratic": 41}),
+        ],
+    )
+    def test_singlevalued_reads_members_off_the_descriptor(self, monkeypatch, mutant, failures):
+        MUTANTS[mutant](monkeypatch)
+        for field in FIELDS:
+            reports = _run_suite("singlevalued", field)
+            assert sum(len(r.failures) for r in reports) == failures[field], field
+
+    def test_projection_containment_records(self, monkeypatch):
+        MUTANTS["project-one-class-off"](monkeypatch)
+        field = PadicRationals(5)
+        elements = [field.element(x) for x in (1, Fraction(7, 3), 50)]
+        pairs = [tower.LevelPair(a, b) for a in range(4) for b in range(a, 4)][:6]
+        rep = tower.check_projection_containment(field, pairs, elements)
+        assert rep.samples == len(rep.failures) == 36
+        xs = {field.to_json(x) for x in elements}
+        for f in rep.failures:
+            assert set(f) == {"x", "y", "upper", "lower"}
+            assert {f["x"], f["y"]} <= xs
+            assert tower.LevelPair(lower=f["lower"], upper=f["upper"]) in pairs
 
 
 # -- oracle-roundtrip against the two-expansion loop --------------------------

@@ -38,17 +38,12 @@ def _nonnegative(text):
     return n
 
 
-def _digits(text):
-    n = int(text)
-    if n > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_DIGITS}, got {n}")
-    return n
-
-
 def _check_window(args):
     digits = getattr(args, "digits", None)
     if digits is None:
         return
+    if digits > MAX_DIGITS:
+        raise ValueError(f"--digits: must be <= {MAX_DIGITS}, got {digits}")
     budget = MAX_DIGITS * (13).bit_length()
     if digits * args.p.bit_length() > budget:
         raise ValueError(
@@ -171,7 +166,7 @@ def build_parser():
         if gamma:
             sp.add_argument("--gamma", type=int, required=True)
         if digits:
-            sp.add_argument("--digits", type=_digits, default=8)
+            sp.add_argument("--digits", type=int, default=8)
 
     sp = sub.add_parser("coset", help="class of an element at a level")
     common(sp, gamma=True)
@@ -199,7 +194,7 @@ def build_parser():
     sp = sub.add_parser("embed", help="embed an extension element as digits")
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--x", default=None)
-    sp.add_argument("--digits", type=_digits, default=8)
+    sp.add_argument("--digits", type=int, default=8)
     sp.set_defaults(fn=cmd_embed)
 
     sp = sub.add_parser("limit-arith", help="level-wise arithmetic with a ledger")

@@ -23,6 +23,7 @@ __all__ = [
     "GammaCoset",
     "HyperSum",
     "IteratedResult",
+    "ball_point",
     "check_level",
     "coset_of",
     "coset_eq",
@@ -192,6 +193,12 @@ class IteratedResult:
     chain: tuple = None
 
 
+def ball_point(s, k, unit):
+    """The class of the center of a sum descriptor moved by unit * pi^k."""
+    f = s.field
+    return GammaCoset(f, s.level, f.add(s.center.rep, f.mul(f.uniformizer_pow(k), unit)))
+
+
 def member_candidates(s):
     """A finite, deduplicated spread of classes inside a sum descriptor.
 
@@ -208,8 +215,7 @@ def member_candidates(s):
     top = 0 if s.radius is INF else 3 if center.is_zero() else min(3, g + center.value() - s.radius)
     for k in range(1, top + 1):
         for i in range(2):
-            w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(i))
-            cand = GammaCoset(f, g, f.add(center.rep, w))
+            cand = ball_point(s, s.radius + k, f.unit_digit(i))
             if not any(coset_eq(cand, seen) for seen in out):
                 out.append(cand)
     return out

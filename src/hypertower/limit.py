@@ -24,6 +24,7 @@ from .basefields import Approximation
 from .cosets import (
     GammaCoset,
     _valued_coset,
+    ball_point,
     check_level,
     coset_eq,
     coset_of,
@@ -491,13 +492,7 @@ def check_singlevalued(a, b, n, rng):
     def separation(unit, off):
         """The level where the chain of (unit, off) separates from the sum,
         or None when it collapses onto it or is no full member-choice."""
-
-        def gen(level):
-            s = sums[level]
-            bump = field.mul(unit, field.uniformizer_pow(s.radius + off))
-            return coset_of(field, field.add(s.center.rep, bump), level)
-
-        choice = from_cosets(field, gen)
+        choice = from_cosets(field, lambda g: ball_point(sums[g], sums[g].radius + off, unit))
         for level in range(n + 1):
             if level == len(sums):
                 sums.append(hyperadd(a.at(level), b.at(level)))
@@ -518,9 +513,10 @@ def check_singlevalued(a, b, n, rng):
     for i in range(SINGLEVALUED_CHAINS):
         report.tick()
         unit = field.unit_digit(rng.randrange(8))
-        # just inside the ball at a finite sum value; past total
+        # at a finite sum value, a move of value g + v(s) + 1 at level g: inside the
+        # canonical class, also where the sum cancels in part; past total
         # cancellation, where no coherent choice exists, a drawn depth
-        off = 1 if vs is not INF else 1 + rng.randrange(3)
+        off = 1 + vs - min(va, vb) if vs is not INF else 1 + rng.randrange(3)
         if (unit, off) not in verdicts:
             verdicts[unit, off] = separation(unit, off)
         if verdicts[unit, off] is not None:

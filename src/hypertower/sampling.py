@@ -6,7 +6,7 @@ identical streams; the checkers themselves stay pure consumers.
 
 from __future__ import annotations
 
-from .cosets import GammaCoset, coset_of, hyperadd
+from .cosets import ball_point, coset_of, hyperadd
 from .oag import GroupElement, INF
 
 
@@ -42,12 +42,10 @@ def sample_hypersum(field, rng):
 def sample_member(s, rng):
     """A genuine member class of a sum descriptor: its center, or the
     center moved by u * pi^(radius + k) when the radius is finite."""
-    f = s.field
     k, i = rng.randint(1, 4), rng.randrange(4)
     if rng.random() < 0.2 or s.radius is INF:
         return s.center
-    w = f.mul(f.uniformizer_pow(s.radius + k), f.unit_digit(i))
-    return GammaCoset(f, s.level, f.add(s.center.rep, w))
+    return ball_point(s, s.radius + k, s.field.unit_digit(i))
 
 
 def sample_nonmember(s, rng):
@@ -57,10 +55,8 @@ def sample_nonmember(s, rng):
     the radius lands outside, as the ball is open; a ball of radius INF
     is the zero class alone, left by a perturbation of value g.
     """
-    f = s.field
     r = s.level if s.radius is INF else s.radius
-    w = f.mul(f.uniformizer_pow(r), f.unit_digit(rng.randrange(4)))
-    return GammaCoset(f, s.level, f.add(s.center.rep, w))
+    return ball_point(s, r, s.field.unit_digit(rng.randrange(4)))
 
 
 def sample_trop_value(rng, arity=1, inf_chance=0.05):

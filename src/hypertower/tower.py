@@ -96,6 +96,19 @@ def _level_classes(field, x, levels):
     return {g: _valued_coset(field, x, g, v) for g in levels}
 
 
+def _triangles(report, pairs, samples, commutes, describe):
+    """Tick each pair of levels for each sample and record the triangles
+    that do not commute.  ``samples`` yields (key, images), the sample's
+    images by level; ``commutes(upper, lower, level)`` decides one pair
+    from its two images, and ``describe(key)`` names the sample in a
+    failure record, built only for a failure."""
+    for key, images in samples:
+        for pair in pairs:
+            report.tick()
+            if not commutes(images[pair.upper], images[pair.lower], pair.lower):
+                report.fail(**describe(key), upper=pair.upper, lower=pair.lower)
+
+
 def check_slice_triangles(field, pairs, elements, projector=project):
     """Value preservation and functoriality of level-lowering on samples.
 
@@ -106,18 +119,9 @@ def check_slice_triangles(field, pairs, elements, projector=project):
     report = LawReport("slice-triangles")
     levels = _levels(pairs)
     classes = [(x, _level_classes(field, x, levels)) for x in elements]
-    for pair in pairs:
-        for x, at in classes:
-            report.tick()
-            upper = at[pair.upper]
-            lowered = projector(upper, pair.lower)
-            if lowered.value() != upper.value():
-                report.fail(
-                    law_part="value-preservation",
-                    element=field.to_json(x),
-                    upper=pair.upper,
-                    lower=pair.lower,
-                )
+    _triangles(report, pairs, classes,
+               lambda upper, _, g: projector(upper, g).value() == upper.value(),
+               lambda x: {"law_part": "value-preservation", "element": field.to_json(x)})
     for lo, mid, hi in combinations_with_replacement(levels, 3):
         for x, at in classes:
             report.tick()
@@ -232,28 +236,20 @@ def check_projection_containment(field, pairs, elements):
     """
     report = LawReport("projection-ball-containment")
     levels = _levels(pairs)
-    classes = [_level_classes(field, x, levels) for x in elements]
-    for i, (x, cx) in enumerate(zip(elements, classes)):
-        for y, cy in zip(elements[i:], classes[i:]):
-            if field.is_zero(x) and field.is_zero(y):
-                continue
-            sums = {g: hyperadd(cx[g], cy[g]) for g in levels}
-            for pair in pairs:
-                report.tick()
-                su, sl = sums[pair.upper], sums[pair.lower]
-                center = project(su.center, pair.lower)
-                ok = (
-                    coset_eq(center, sl.center)
-                    and sl.radius <= su.radius
-                    and hypersum_contains(sl, center)
-                )
-                if not ok:
-                    report.fail(
-                        x=field.to_json(x),
-                        y=field.to_json(y),
-                        upper=pair.upper,
-                        lower=pair.lower,
-                    )
+    classes = [(x, _level_classes(field, x, levels)) for x in elements]
+
+    def sums():
+        for i, (x, cx) in enumerate(classes):
+            for y, cy in classes[i:]:
+                if not (field.is_zero(x) and field.is_zero(y)):
+                    yield (x, y), {g: hyperadd(cx[g], cy[g]) for g in levels}
+
+    def contained(su, sl, g):
+        center = project(su.center, g)
+        return coset_eq(center, sl.center) and sl.radius <= su.radius and hypersum_contains(sl, center)
+
+    _triangles(report, pairs, sums(), contained,
+               lambda xy: {"x": field.to_json(xy[0]), "y": field.to_json(xy[1])})
     return report
 
 
@@ -267,18 +263,15 @@ def cone_over_diagram(sides, pairs, samples):
     """
     report = LawReport("cone-compatibility")
     legs = {g: sides(g) for g in _levels(pairs)}
-    for x in samples:
-        images = {g: leg(x) for g, leg in legs.items()}
-        values = [c.value() for c in images.values()]
-        if any(v != values[0] for v in values[1:]):
-            report.fail(law_part="value-constancy", element=repr(x))
-        for pair in pairs:
-            report.tick()
-            if not coset_eq(project(images[pair.upper], pair.lower), images[pair.lower]):
-                report.fail(
-                    law_part="triangle",
-                    element=repr(x),
-                    upper=pair.upper,
-                    lower=pair.lower,
-                )
+
+    def images():
+        for x in samples:
+            at = {g: leg(x) for g, leg in legs.items()}
+            if len({c.value() for c in at.values()}) > 1:
+                report.fail(law_part="value-constancy", element=repr(x))
+            yield x, at
+
+    _triangles(report, pairs, images(),
+               lambda upper, lower, g: coset_eq(project(upper, g), lower),
+               lambda x: {"law_part": "triangle", "element": repr(x)})
     return report

@@ -812,6 +812,21 @@ class TestSinglevalued:
         rep = check_singlevalued(a, from_field(Q5, 2), 12, rng)
         assert rep.passed
 
+    def test_partially_cancelling_pair_is_compared(self, monkeypatch):
+        # 1 + 4 = 5 cancels in part: each chain's member keeps the canonical
+        # class at every level, so every distinct chain reaches limit_eq
+        compared = []
+        real = limit.limit_eq
+
+        def counting(u, w, n):
+            compared.append(n)
+            return real(u, w, n)
+
+        monkeypatch.setattr(limit, "limit_eq", counting)
+        rep = check_singlevalued(from_field(Q5, 1), from_field(Q5, 4), 12, random.Random(26))
+        assert rep.passed and rep.samples == 4
+        assert compared and set(compared) == {12}
+
     def test_level_sums_shared_by_chains(self, monkeypatch):
         calls = []
         real = limit.hyperadd
@@ -863,7 +878,7 @@ def _per_chain_singlevalued(a, b, n, rng):
     for i in range(limit.SINGLEVALUED_CHAINS):
         report.tick()
         unit = field.unit_digit(rng.randrange(8))
-        off = 1 if vs is not INF else 1 + rng.randrange(3)
+        off = 1 + vs - min(va, vb) if vs is not INF else 1 + rng.randrange(3)
 
         def gen(level, _u=unit, _off=off):
             s = sums[level]

@@ -291,7 +291,7 @@ class TestMutantRecords:
         "mutant,failures",
         [
             ("radius-forgets-level", {"rational": 44, "function": 44, "quadratic": 44}),
-            ("derived-element-off", {"rational": 41, "function": 45, "quadratic": 41}),
+            ("derived-element-off", {"rational": 45, "function": 45, "quadratic": 45}),
         ],
     )
     def test_singlevalued_reads_members_off_the_descriptor(self, monkeypatch, mutant, failures):
@@ -299,6 +299,25 @@ class TestMutantRecords:
         for field in FIELDS:
             reports = _run_suite("singlevalued", field)
             assert sum(len(r.failures) for r in reports) == failures[field], field
+
+    def test_project_off_failure_counts(self, monkeypatch):
+        # each checker of a level-pair triangle under the same mutant; the
+        # slice checker is handed the mutant, as its default is bound early
+        MUTANTS["project-one-class-off"](monkeypatch)
+        field = PadicRationals(5)
+        elements = [field.element(x) for x in (0, 1, Fraction(7, 3), 50)]
+        pairs = [tower.LevelPair(a, b) for a in range(4) for b in range(a, 4)]
+        reports = [
+            tower.check_slice_triangles(field, pairs, elements, projector=tower.project),
+            tower.check_projection_containment(field, pairs, elements),
+            tower.cone_over_diagram(lambda g: lambda x: GammaCoset(field, g, x), pairs, elements),
+        ]
+        got = [(r.samples, Counter(f.get("law_part") for f in r.failures)) for r in reports]
+        assert got == [
+            (120, {"functoriality": 33, "value-preservation": 4}),
+            (90, {None: 90}),
+            (40, {"triangle": 30}),
+        ]
 
     def test_projection_containment_records(self, monkeypatch):
         MUTANTS["project-one-class-off"](monkeypatch)

@@ -70,6 +70,12 @@ def old_triples(levels):
     return out
 
 
+def _bumped(c, gamma):
+    # a corrupted projector: the lowered class moves by pi^gamma
+    bumped = c.field.add(c.rep, c.field.uniformizer_pow(gamma))
+    return coset_of(c.field, bumped, gamma)
+
+
 class TestSliceTriangles:
     @pytest.mark.parametrize(
         "pairs", [PAIRS, PAIRS[:6], [LevelPair(1, 4), LevelPair(2, 2)], [LevelPair(0, 6)]]
@@ -143,14 +149,25 @@ class TestSliceTriangles:
         assert rep.passed
 
     def test_corrupted_projector_detected(self):
-        def corrupted(c, gamma):
-            bumped = c.field.add(c.rep, c.field.uniformizer_pow(gamma))
-            return coset_of(c.field, bumped, gamma)
-
         rng = random.Random(4)
-        rep = check_slice_triangles(Q5, PAIRS, elements(rng), projector=corrupted)
+        rep = check_slice_triangles(Q5, PAIRS, elements(rng), projector=_bumped)
         assert not rep.passed
         assert any(f["law_part"] == "value-preservation" for f in rep.failures)
+
+    def test_corrupted_projector_record(self):
+        # the exact failing report: both law parts, every element, one pair
+        els = [Q5.zero(), Q5.element(Fraction(7, 3)), Q5.element(50)]
+        rep = check_slice_triangles(Q5, [LevelPair(0, 2)], els, projector=_bumped)
+        failures = []
+        for x in ("0", "50", "7/3"):
+            failures += [
+                {"element": x, "law_part": "functoriality", "levels": levels}
+                for levels in ([0, 0, 0], [0, 0, 2], [2, 2, 2])
+            ]
+            failures.append({"element": x, "law_part": "value-preservation", "lower": 0, "upper": 2})
+        assert rep.to_json() == {
+            "law": "slice-triangles", "samples": 15, "failures": failures, "pass": False,
+        }
 
 
 class TestHomLaw:
@@ -286,6 +303,27 @@ class TestCone:
         els = [x for x in elements(rng, 10) if not Q5.is_zero(x)]
         rep = cone_over_diagram(sides, PAIRS, els)
         assert not rep.passed
+
+    def test_shifted_side_record(self):
+        # the level-2 side multiplies by 5: both triangles into level 2 and
+        # the value constancy fail, each once per element
+        def sides(g):
+            if g == 2:
+                return lambda x: coset_of(Q5, Q5.mul(x, Fraction(5)), g)
+            return lambda x: coset_of(Q5, x, g)
+
+        pairs = [LevelPair(0, 2), LevelPair(1, 2), LevelPair(0, 1)]
+        rep = cone_over_diagram(sides, pairs, [Fraction(7, 3), Fraction(50)])
+        failures = []
+        for x in ("Fraction(50, 1)", "Fraction(7, 3)"):
+            failures += [
+                {"element": x, "law_part": "triangle", "lower": 0, "upper": 2},
+                {"element": x, "law_part": "triangle", "lower": 1, "upper": 2},
+                {"element": x, "law_part": "value-constancy"},
+            ]
+        assert rep.to_json() == {
+            "law": "cone-compatibility", "samples": 6, "failures": failures, "pass": False,
+        }
 
 
 class TestLawReport:

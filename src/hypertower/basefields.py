@@ -128,7 +128,8 @@ def padic_valuation(q, p):
         raise ValueError(f"not a rational: {q!r}")
     if not q:
         return INF
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+    d = q.denominator  # a reduced fraction holds p in at most one part
+    return -int_valuation(d, p) if d % p == 0 else int_valuation(q.numerator, p)
 
 
 # below this many digits _digits_of peels them off one divmod at a time
@@ -514,7 +515,13 @@ class PadicRationals(ValuedField):
         diff = x.numerator * yd - y.numerator * xd
         if not diff:
             return INF
-        return int_valuation(diff, p) - int_valuation(xd, p) - int_valuation(yd, p)
+        v = int_valuation(diff, p)
+        # a denominator is valued only when p divides it
+        if xd % p == 0:
+            v -= int_valuation(xd, p)
+        if yd % p == 0:
+            v -= int_valuation(yd, p)
+        return v
 
     def expand(self, x, n):
         """First n base-p digits of x, starting at its valuation.

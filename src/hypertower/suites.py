@@ -106,24 +106,20 @@ def definitional_member(field, zs, x, y, gamma):
 
     z = x + y*u for a 1-unit u at the level, or symmetrically with the
     roles of x and y swapped; the witness quotient is solved for exactly,
-    so no enumeration bound is involved.  With w = z - x - y, the test
-    v(u - 1) > gamma reads v(w * y^-1) > gamma, since
-    u - 1 = (z - x) * y^-1 - 1 = (z - x - y) * y^-1, and symmetrically
-    v(w * x^-1) > gamma.  Each nonzero operand is inverted, and x + y
-    formed, once for the whole list; each z then costs one difference and
-    one product per branch tried.  When both operands are zero there is no
-    quotient to solve: 0 + 0*u is 0, so z belongs exactly when it is zero.
+    so no enumeration bound is involved.  With w = z - x - y,
+    u - 1 = (z - x) * y^-1 - 1 = w * y^-1, and symmetrically w * x^-1, so
+    the test v(u - 1) > gamma reads v(w) - v(b) > gamma for b = y, then x,
+    as v is a homomorphism.  Each operand is valued, and x + y formed,
+    once for the whole list; each z then costs one difference and its
+    valuation.  A zero operand gives no quotient; w = 0 makes z a member
+    whatever the operands, since z = x + y*1 (and 0 + 0*u is 0).
     """
-    iy = None if field.is_zero(y) else field.inv(y)
-    ix = None if field.is_zero(x) else field.inv(x)
+    vy, vx = field.valuation(y), field.valuation(x)
     total = field.add(x, y)
 
     def member(z):
-        w = field.sub(z, total)
-        for inv_b in (iy, ix):
-            if inv_b is not None and field.valuation(field.mul(w, inv_b)) > gamma:
-                return True
-        return ix is None and iy is None and field.is_zero(w)
+        vw = field.valuation(field.sub(z, total))
+        return vw is INF or vy is not INF and vw - vy > gamma or vx is not INF and vw - vx > gamma
 
     return [member(z) for z in zs]
 
@@ -166,12 +162,13 @@ def _spot_units(p, gamma):
 
 def _spot_candidates(field, x, y, units):
     """The distinct candidates z = x + y*u and y + x*u for the given
-    multipliers u, in first-seen order; u = 1 gives x + y once."""
+    multipliers u, in first-seen order; u = 1 gives x + y once.  Keys are
+    numerator and denominator, which hash cheaper than a Fraction."""
     out = {}
     for u in units:
-        out[field.add(x, field.mul(y, u))] = None
-        out[field.add(field.mul(x, u), y)] = None
-    return list(out)
+        for z in (field.add(x, field.mul(y, u)), field.add(field.mul(x, u), y)):
+            out.setdefault((z.numerator, z.denominator), z)
+    return list(out.values())
 
 
 def lee_suite(p, gamma, rng, *, exhaustive_bound, sample_bound, sample_pairs):
@@ -197,8 +194,9 @@ def lee_suite(p, gamma, rng, *, exhaustive_bound, sample_bound, sample_pairs):
     sums, rows = _candidate_table(exhaustive_bound)
     classes = [coset_of(field, z, gamma) for z in sums]
     # Whether a class belongs to a sum depends on the sum alone, so memo
-    # maps the descriptor that hyperadd returned to the verdicts decided on
-    # it so far, by candidate index; each is asked of the route once.
+    # maps each descriptor hyperadd returned (center numerator and
+    # denominator, radius, zero flag) to the verdicts decided on it so far,
+    # by candidate index; each is asked of the route once.
     memo = {}
     for i, (x, vx) in enumerate(zip(small, vals_small)):
         for j, (y, vy) in enumerate(zip(small, vals_small)):
@@ -220,7 +218,8 @@ def lee_suite(p, gamma, rng, *, exhaustive_bound, sample_bound, sample_pairs):
             if vy is INF:
                 # every candidate x + 0*u is x: one fact, compared once
                 ks, wants = ks[:1], wants[:1]
-            facts = memo.setdefault((s.center.rep, s.radius, s.contains_zero), {})
+            c = s.center.rep
+            facts = memo.setdefault((c.numerator, c.denominator, s.radius, s.contains_zero), {})
             for k, want in zip(ks, wants):
                 if k not in facts:
                     facts[k] = hypersum_contains(s, classes[k])

@@ -109,13 +109,15 @@ def _triangles(report, pairs, samples, commutes, describe):
                 report.fail(**describe(key), upper=pair.upper, lower=pair.lower)
 
 
-def check_slice_triangles(field, pairs, elements, projector=project):
+def check_slice_triangles(field, pairs, elements, projector=None):
     """Value preservation and functoriality of level-lowering on samples.
 
     ``elements`` are raw field elements; each one is valued once, and its
     class is built once per level and pushed down.  A replacement
-    ``projector`` can be supplied to exercise corrupted maps.
+    ``projector`` can be supplied to exercise corrupted maps; by default
+    the module's ``project`` is looked up at call time.
     """
+    projector = projector or project
     report = LawReport("slice-triangles")
     levels = _levels(pairs)
     classes = [(x, _level_classes(field, x, levels)) for x in elements]

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -428,6 +429,55 @@ class TestIntValuation:
     def test_zero(self):
         with pytest.raises(ValueError):
             int_valuation(0, 5)
+
+
+def _divided_valuation(q, p):
+    """v_p of a rational by repeated division by p, one factor at a time."""
+    q = Fraction(q)
+    if not q:
+        return INF
+    v = 0
+    while q.numerator % p == 0:
+        q, v = q / p, v + 1
+    while q.denominator % p == 0:
+        q, v = q * p, v - 1
+    return v
+
+
+class TestRationalValuationKernels:
+    """padic_valuation and Q_p's sub_valuation, which value a denominator
+    only when p divides it, against Fraction subtraction and repeated
+    division by p."""
+
+    @staticmethod
+    def _operands(rng, p):
+        # ints and Fractions whose denominators p divides or not, with
+        # numerators up to p^40, of either sign; each shifted by p^40 too,
+        # so differences cancel deep
+        def unit():
+            return rng.choice([n for n in range(1, 200) if n % p])
+
+        out = []
+        for k in (0, 1, 3, 40):
+            num = rng.choice((-1, 1)) * unit() * p ** k
+            out += [num, Fraction(num, unit()), Fraction(num, unit() * p ** rng.randint(1, 40))]
+        out += [Fraction(-unit(), p ** 2), 0, Fraction(0)]
+        return out + [x + Fraction(p ** 40, unit() * p ** rng.randint(0, 2)) for x in out]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_match_repeated_division(self, p):
+        field = PadicRationals(p)
+        xs = self._operands(random.Random(f"kernels:{p}"), p)
+        dens = Counter()
+        for x in xs:
+            assert padic_valuation(x, p) == _divided_valuation(x, p), x
+            for y in xs:
+                assert field.sub_valuation(x, y) == _divided_valuation(Fraction(x) - Fraction(y), p), (x, y)
+                dens[(Fraction(x).denominator % p == 0) + (Fraction(y).denominator % p == 0)] += 1
+        # p divides no denominator, one or both, and equal operands give INF
+        assert min(dens[0], dens[1], dens[2]) > 50
+        assert field.sub_valuation(xs[1], xs[1]) is INF
+        assert field.sub_valuation(7, Fraction(7)) is INF
 
 
 def _shifted_elements(field, rng, count):

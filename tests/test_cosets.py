@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypertower import suites
+from hypertower import cosets, suites
 from hypertower.oag import INF, TropSet
 from hypertower.basefields import (
     PadicRationals,
@@ -660,32 +660,37 @@ class TestTwoRouteSuite:
 
 
 class TestEachCheckPaidOnce:
-    def test_referee_inverts_each_operand_once_per_spot_pair(self, monkeypatch):
-        inverted = []
-        real_inv = PadicRationals.inv
+    def test_referee_values_each_operand_once_per_spot_pair(self, monkeypatch):
+        # on each spot pair the referee values y, then x, once, then each
+        # candidate's difference from x + y, and inverts and multiplies
+        # nothing
+        ops = []
+        for name in ("valuation", "inv", "mul"):
+            def counted(self, *args, _name=name, _real=getattr(PadicRationals, name)):
+                ops.append((_name, *args))
+                return _real(self, *args)
 
-        def inv(self, x):
-            inverted.append(x)
-            return real_inv(self, x)
+            monkeypatch.setattr(PadicRationals, name, counted)
 
-        spots = []
-        real_spot = suites._spot_candidates
+        calls = []
+        real_member = suites.definitional_member
 
-        def spot(field, x, y, units):
-            spots.append((x, y))
-            return real_spot(field, x, y, units)
+        def member(field, zs, x, y, gamma):
+            ops.clear()
+            out = real_member(field, zs, x, y, gamma)
+            calls.append((zs, x, y, list(ops)))
+            return out
 
-        monkeypatch.setattr(PadicRationals, "inv", inv)
-        monkeypatch.setattr(suites, "_spot_candidates", spot)
+        monkeypatch.setattr(suites, "definitional_member", member)
         rep = lee_suite(5, 1, random.Random(3), exhaustive_bound=2, sample_bound=12, sample_pairs=400)
         assert rep.passed
-        assert len(spots) > 40
-        assert len(inverted) == sum((x != 0) + (y != 0) for x, y in spots)
+        assert len(calls) > 40
+        for zs, x, y, made in calls:
+            assert made == [("valuation", y), ("valuation", x)] + [("valuation", z - x - y) for z in zs]
 
     def test_referee_work_per_call_and_candidate(self):
-        # per call: one inv per nonzero operand and x + y; per candidate:
-        # one difference, then one product (and its valuation) per branch
-        # tried, the y branch first
+        # per call: one valuation per operand and x + y; per candidate: one
+        # difference and its valuation, whichever branch decides
         calls = Counter()
 
         class CountingQ5(PadicRationals):
@@ -700,17 +705,9 @@ class TestEachCheckPaidOnce:
 
         field = CountingQ5(5)
         for zs, x, y, gamma in _spot_batch(12):
-            tried = 0
-            for z in zs:
-                if y != 0:
-                    tried += 1
-                    if padic_valuation((z - x) / y - 1, 5) > gamma:
-                        continue
-                tried += x != 0
             calls.clear()
             definitional_member(field, zs, x, y, gamma)
-            inv = (x != 0) + (y != 0)
-            assert calls == Counter(inv=inv, add=1, sub=len(zs), mul=tried, valuation=tried), (x, y, gamma)
+            assert calls == Counter(add=1, sub=len(zs), valuation=2 + len(zs)), (x, y, gamma)
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_each_distinct_candidate_class_built_once(self, monkeypatch, p):
@@ -1048,6 +1045,10 @@ class TestRefereeIndependence:
         monkeypatch.setattr(suites, "definitional_member", guarded_member)
         monkeypatch.setattr(suites, "hyperadd", guard(suites.hyperadd))
         monkeypatch.setattr(suites, "hypersum_contains", guard(suites.hypersum_contains))
+        # the route's radius, wherever the referee might read it from
+        guarded_ball = guard(cosets._ball)
+        for module in (cosets, suites):
+            monkeypatch.setattr(module, "_ball", guarded_ball, raising=False)
         for cls in (PadicRationals, RationalFunctions, QuadraticExtension):
             monkeypatch.setattr(cls, "sub_valuation", guard(cls.sub_valuation))
         rep = lee_suite(5, 1, random.Random(1), exhaustive_bound=2, sample_bound=20, sample_pairs=200)
@@ -1172,6 +1173,34 @@ def _add_neg_member(field, z, x, y, gamma):
     return False
 
 
+def _quotient_member(field, zs, x, y, gamma):
+    """definitional_member as it formed the defining quotient: each nonzero
+    operand inverted once, then for each z the product w * b^-1, with
+    w = z - x - y, valued for b = y, then x.  With both operands zero, z
+    belongs exactly when w is zero."""
+    iy = None if field.is_zero(y) else field.inv(y)
+    ix = None if field.is_zero(x) else field.inv(x)
+    total = field.add(x, y)
+
+    def member(z):
+        w = field.sub(z, total)
+        for inv_b in (iy, ix):
+            if inv_b is not None and field.valuation(field.mul(w, inv_b)) > gamma:
+                return True
+        return ix is None and iy is None and field.is_zero(w)
+
+    return [member(z) for z in zs]
+
+
+def _fraction_keyed_spot_candidates(field, x, y, units):
+    """_spot_candidates as it deduplicated on the Fraction itself."""
+    out = {}
+    for u in units:
+        out[field.add(x, field.mul(y, u))] = None
+        out[field.add(field.mul(x, u), y)] = None
+    return list(out)
+
+
 def _per_pair_spot_candidates(field, x, y, gamma):
     """Spot candidates with their units built for the one pair."""
     p = field.p
@@ -1221,6 +1250,53 @@ class TestSuiteHelpers:
                 assert suites._spot_candidates(field, x, y, units) == list(
                     dict.fromkeys(_per_pair_spot_candidates(field, x, y, gamma))
                 )
+
+    @pytest.mark.parametrize("field", _CANDIDATE_FIELDS, ids=lambda f: f"{f.kind}-{f.p}")
+    def test_definitional_member_matches_quotient_form(self, field):
+        # valuation differences against the solved quotient, at the level's
+        # edge u = 1 +- pi^j for j around gamma, on zero operands, both
+        # operands zero, and pairs x, -x * (1 + pi^k) whose sum cancels in
+        # part, with the zero class among the candidates
+        rng = random.Random(f"quotient:{field.kind}:{field.p}")
+        zero, one = field.zero(), field.one()
+        verdicts = Counter()
+        for gamma in range(4):
+            pairs = [(zero, zero)]
+            for _ in range(4):
+                x, y = field.random_nonzero(rng, 20), field.random_nonzero(rng, 20)
+                k = rng.randint(0, 4)
+                partial = field.neg(field.mul(x, field.add(one, field.uniformizer_pow(k))))
+                pairs += [(x, y), (zero, y), (x, zero), (x, partial), (partial, x)]
+            us = [one]
+            for j in (gamma - 1, gamma, gamma + 1, gamma + 2):
+                us += [field.add(one, field.uniformizer_pow(j)), field.sub(one, field.uniformizer_pow(j))]
+            for x, y in pairs:
+                zs = [field.add(a, field.mul(b, u)) for u in us for a, b in ((x, y), (y, x))]
+                zs += [zero, field.random_element(rng, 20)]
+                got = definitional_member(field, zs, x, y, gamma)
+                assert got == _quotient_member(field, zs, x, y, gamma), (x, y, gamma)
+                verdicts.update(got)
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("gamma", [0, 1, 2])
+    def test_spot_candidates_match_fraction_keyed(self, monkeypatch, p, gamma):
+        # every spot set of the sampled tier in a lee-membership
+        # configuration (1000 pairs from height 50), in the same order as
+        # when candidates were keyed by their Fraction
+        seen = []
+        real_spot = suites._spot_candidates
+
+        def spot(field, x, y, units):
+            zs = real_spot(field, x, y, units)
+            assert zs == _fraction_keyed_spot_candidates(field, x, y, units), (x, y)
+            seen.append(len(zs))
+            return zs
+
+        monkeypatch.setattr(suites, "_spot_candidates", spot)
+        rep = lee_suite(p, gamma, random.Random(f"lee:1:{p}:{gamma}"),
+                        exhaustive_bound=0, sample_bound=50, sample_pairs=1000)
+        assert rep.passed and len(seen) == 125
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("gamma", [0, 1, 2])

@@ -126,10 +126,12 @@ def padic_valuation(q, p):
     float by its binary fraction and a bool as 0 or 1, so both are errors."""
     if type(q) is not Fraction and (isinstance(q, bool) or not isinstance(q, (Fraction, int))):
         raise ValueError(f"not a rational: {q!r}")
-    if not q:
+    n, d = q.as_integer_ratio()  # a reduced fraction holds p in at most one part
+    if not n:
         return INF
-    d = q.denominator  # a reduced fraction holds p in at most one part
-    return -int_valuation(d, p) if d % p == 0 else int_valuation(q.numerator, p)
+    if d % p == 0:
+        return -int_valuation(d, p)
+    return int_valuation(n, p) if n % p == 0 else 0
 
 
 # below this many digits _digits_of peels them off one divmod at a time
@@ -468,22 +470,23 @@ class PadicRationals(ValuedField):
 
     # one normalization in the public Fraction(n, d) per result, instead of
     # Fraction's operators, whose private fast paths changed between
-    # Python versions
+    # Python versions; each operand is read once, by as_integer_ratio,
+    # which costs half of the numerator and denominator properties
     def add(self, x, y):
         if type(x) is not Fraction:
             x = self.check(x)
         if type(y) is not Fraction:
             y = self.check(y)
-        xd, yd = x.denominator, y.denominator
-        return Fraction(x.numerator * yd + y.numerator * xd, xd * yd)
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        return Fraction(xn * yd + yn * xd, xd * yd)
 
     def sub(self, x, y):
         if type(x) is not Fraction:
             x = self.check(x)
         if type(y) is not Fraction:
             y = self.check(y)
-        xd, yd = x.denominator, y.denominator
-        return Fraction(x.numerator * yd - y.numerator * xd, xd * yd)
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        return Fraction(xn * yd - yn * xd, xd * yd)
 
     def neg(self, x):
         return -self.check(x)
@@ -493,7 +496,8 @@ class PadicRationals(ValuedField):
             x = self.check(x)
         if type(y) is not Fraction:
             y = self.check(y)
-        return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        return Fraction(xn * yn, xd * yd)
 
     def inv(self, x):
         if type(x) is not Fraction:
@@ -511,11 +515,11 @@ class PadicRationals(ValuedField):
             x = self.check(x)
         if type(y) is not Fraction:
             y = self.check(y)
-        xd, yd, p = x.denominator, y.denominator, self.p
-        diff = x.numerator * yd - y.numerator * xd
+        (xn, xd), (yn, yd), p = x.as_integer_ratio(), y.as_integer_ratio(), self.p
+        diff = xn * yd - yn * xd
         if not diff:
             return INF
-        v = int_valuation(diff, p)
+        v = int_valuation(diff, p) if diff % p == 0 else 0
         # a denominator is valued only when p divides it
         if xd % p == 0:
             v -= int_valuation(xd, p)

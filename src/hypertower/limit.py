@@ -18,6 +18,7 @@ up to a level is evidence, a disagreement at some level is a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oag import INF
 from .basefields import Approximation
@@ -125,13 +126,17 @@ class PrecisionLedger:
         }
 
 
-@dataclass(frozen=True)
-class EqResult:
-    """Outcome of comparing two coherent elements level by level."""
+class EqResult(NamedTuple):
+    """Outcome of comparing two coherent elements level by level: an
+    immutable named tuple, equal field by field."""
 
     equal: bool
     level: int
     witness: tuple = None
+
+
+# the ledger of an element with no history, shared: a ledger is frozen
+_EMPTY_LEDGER = PrecisionLedger()
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ class CoherentElement:
         self._generator = generator
         self.exact = exact
         self._valuation = known_valuation
-        self.ledger = ledger or PrecisionLedger()
+        self.ledger = ledger or _EMPTY_LEDGER
         self.provenance = provenance or {"kind": "opaque"}
         self._memo = {}
         self._deepest = None

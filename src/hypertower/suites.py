@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .basefields import PadicRationals, QuadraticExtension, make_field, padic_valuation
+from .basefields import PadicRationals, QuadraticExtension, int_valuation, make_field, padic_valuation
 from .cosets import GammaCoset, _valued_coset, coset_of, hyperadd, hypersum_contains
 from .limit import (
     check_singlevalued,
@@ -128,18 +128,23 @@ def _descriptor_checks(field, report, x, y, gamma, vx, vy):
     """Exact facts about one sum descriptor, checked against the module:
     its radius, center and zero flag, with v(0) = INF for a zero operand.
 
-    The center is checked by exact equality of normal forms, not by
-    ``sub_valuation``: that kernel is what the descriptor route under test
-    runs on.  The operand classes carry vx and vy, so ``hyperadd`` values
+    The referee works on integers, apart from the field's ``add`` and
+    ``valuation`` that ``hyperadd`` runs on: x + y is tn/td =
+    (xn*yd + yn*xd) / (xd*yd), not reduced, the center cn/cd is checked by
+    cn*td == tn*cd, and v(x + y) is v(tn) - v(td).  It shares
+    ``int_valuation`` with the field, which is checked against sympy on
+    its own.  The operand classes carry vx and vy, so ``hyperadd`` values
     neither again.
     """
     s = hyperadd(_valued_coset(field, x, gamma, vx), _valued_coset(field, y, gamma, vy))
     expected_radius = gamma + min(vx, vy)
-    total = field.add(x, y)
-    vt = field.valuation(total)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    tn, td = xn * yd + yn * xd, xd * yd
+    cn, cd = s.center.rep.as_integer_ratio()
+    vt = int_valuation(tn, field.p) - int_valuation(td, field.p) if tn else INF
     ok = (
         s.radius == expected_radius
-        and s.center.rep == total
+        and cn * td == tn * cd
         and s.contains_zero == (vt is INF or vt > expected_radius)
     )
     if not ok:
@@ -160,14 +165,18 @@ def _spot_units(p, gamma):
     return us
 
 
-def _spot_candidates(field, x, y, units):
+def _spot_candidates(x, y, units):
     """The distinct candidates z = x + y*u and y + x*u for the given
-    multipliers u, in first-seen order; u = 1 gives x + y once.  Keys are
+    multipliers u, in first-seen order; u = 1 gives x + y once.  Each z is
+    one Fraction(n, d) from the integer parts, over d = xd*yd*ud.  Keys are
     numerator and denominator, which hash cheaper than a Fraction."""
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     out = {}
     for u in units:
-        for z in (field.add(x, field.mul(y, u)), field.add(field.mul(x, u), y)):
-            out.setdefault((z.numerator, z.denominator), z)
+        un, ud = u.as_integer_ratio()
+        xs, ys, d = xn * yd * ud, yn * xd * ud, xd * yd * ud
+        for z in (Fraction(xs + yn * un * xd, d), Fraction(xn * un * yd + ys, d)):
+            out.setdefault(z.as_integer_ratio(), z)
     return list(out.values())
 
 
@@ -247,7 +256,7 @@ def lee_suite(p, gamma, rng, *, exhaustive_bound, sample_bound, sample_pairs):
         s = _descriptor_checks(field, report, x, y, gamma, padic_valuation(x, p), padic_valuation(y, p))
         if k % 8:
             continue
-        zs = _spot_candidates(field, x, y, units)
+        zs = _spot_candidates(x, y, units)
         # the zero class joins the batch, to check the descriptor's zero flag
         wants = definitional_member(field, zs + [field.zero()], x, y, gamma)
         for z, want in zip(zs, wants):

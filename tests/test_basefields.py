@@ -104,7 +104,9 @@ def _rational_operands(rng, p):
 
 
 class TestRationalKernel:
-    """Q_p's own add, sub, mul and inv against Python's Fraction operators."""
+    """Q_p's own add, sub, mul and inv against Python's Fraction operators,
+    and its valuations against the Fraction difference valued by repeated
+    division."""
 
     @staticmethod
     def _assert_normal(got, want):
@@ -126,7 +128,9 @@ class TestRationalKernel:
             self._assert_normal(field.add(x, y), fx + fy)
             self._assert_normal(field.sub(x, y), fx - fy)
             self._assert_normal(field.mul(x, y), fx * fy)
+            assert field.sub_valuation(x, y) == _divided_valuation(fx - fy, p), (x, y)
         for x in xs:
+            assert padic_valuation(x, p) == _divided_valuation(x, p), x
             if x:
                 self._assert_normal(field.inv(x), 1 / Fraction(x))
             else:

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from collections import Counter
@@ -276,6 +277,43 @@ class TestHyperSum:
         s = hyperadd(C(1, 1), C(1, 1))
         with pytest.raises(ValueError):
             hypersum_contains(s, C(1, 2))
+
+
+class TestHyperSumTuple:
+    """HyperSum is a named tuple: the same fields, defaults and JSON as the
+    frozen dataclass it replaced, and no attribute can be set."""
+
+    def test_fields_and_immutability(self):
+        assert HyperSum._fields == ("field", "level", "center", "radius", "contains_zero")
+        assert HyperSum._field_defaults == {}
+        s = hyperadd(C(1, 1), C(1, 1))
+        for name in HyperSum._fields:
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+
+    def test_equality_is_field_by_field(self):
+        s = hyperadd(C(1, 1), C(1, 1))
+        # a different representative of the center's class compares equal
+        assert s == HyperSum(Q5, 1, C(27, 1), 1, False)
+        assert s != s._replace(radius=2)
+        assert s != s._replace(contains_zero=True)
+        assert s != s._replace(center=C(7, 1))
+
+    def test_to_json_bytes(self):
+        cases = [
+            ((1, 1, 1), '{"level": 1, "center": {"level": 1, "rep": "2"}, "radius": 1, "zero": false}'),
+            ((1, -1, 0), '{"level": 0, "center": {"level": 0, "rep": "0"}, "radius": 0, "zero": true}'),
+            ((7, 0, 2), '{"level": 2, "center": {"level": 2, "rep": "7"}, "radius": 2, "zero": false}'),
+            ((0, 0, 2), '{"level": 2, "center": {"level": 2, "rep": "0"}, "radius": "inf", "zero": true}'),
+            (
+                (Fraction(3, 25), Fraction(-7, 4), 3),
+                '{"level": 3, "center": {"level": 3, "rep": "-163/100"}, "radius": 1, "zero": false}',
+            ),
+        ]
+        for (x, y, g), want in cases:
+            assert json.dumps(hyperadd(C(x, g), C(y, g)).to_json()) == want
 
 
 class TestWellDefinedness:
@@ -989,7 +1027,7 @@ def _spot_batch(seed):
     for gamma in (0, 1, 2):
         units = suites._spot_units(5, gamma)
         for x, y in pairs:
-            batch.append((suites._spot_candidates(Q5, x, y, units) + [zero], x, y, gamma))
+            batch.append((suites._spot_candidates(x, y, units) + [zero], x, y, gamma))
     return batch
 
 
@@ -1012,6 +1050,12 @@ SUB_VALUATION_FAILURES = {
 }
 
 
+def _add_as_difference(self, x, y):
+    """PadicRationals.add computing x - y, from the same integer parts."""
+    (xn, xd), (yn, yd) = self.check(x).as_integer_ratio(), self.check(y).as_integer_ratio()
+    return Fraction(xn * yd - yn * xd, xd * yd)
+
+
 class TestRefereeIndependence:
     @pytest.mark.parametrize("gamma", list(SUB_VALUATION_FAILURES))
     def test_broken_kernel_fails_suite(self, monkeypatch, gamma):
@@ -1019,6 +1063,14 @@ class TestRefereeIndependence:
         rep = lee_suite(5, gamma, random.Random(1), exhaustive_bound=4, sample_bound=20, sample_pairs=200)
         assert not rep.passed
         assert Counter(f["kind"] for f in rep.failures) == SUB_VALUATION_FAILURES[gamma]
+
+    def test_broken_add_fails_descriptor_checks(self, monkeypatch):
+        # the descriptor check forms x + y from integer parts, so a broken
+        # field add shows in its own checks, not only through the
+        # exhaustive tier's candidates
+        monkeypatch.setattr(PadicRationals, "add", _add_as_difference)
+        rep = lee_suite(5, 1, random.Random(1), exhaustive_bound=4, sample_bound=50, sample_pairs=200)
+        assert Counter(f["kind"] for f in rep.failures) == {"exhaustive-membership": 1012, "descriptor": 706}
 
     def test_referee_calls_no_route_function(self, monkeypatch):
         # the route's kernel and functions raise while the referee runs,
@@ -1247,7 +1299,7 @@ class TestSuiteHelpers:
         universe = reduced_rationals(3)
         for x in universe:
             for y in universe:
-                assert suites._spot_candidates(field, x, y, units) == list(
+                assert suites._spot_candidates(x, y, units) == list(
                     dict.fromkeys(_per_pair_spot_candidates(field, x, y, gamma))
                 )
 
@@ -1287,9 +1339,9 @@ class TestSuiteHelpers:
         seen = []
         real_spot = suites._spot_candidates
 
-        def spot(field, x, y, units):
-            zs = real_spot(field, x, y, units)
-            assert zs == _fraction_keyed_spot_candidates(field, x, y, units), (x, y)
+        def spot(x, y, units):
+            zs = real_spot(x, y, units)
+            assert zs == _fraction_keyed_spot_candidates(PadicRationals(p), x, y, units), (x, y)
             seen.append(len(zs))
             return zs
 
@@ -1310,5 +1362,5 @@ class TestSuiteHelpers:
         universe = reduced_rationals(3)
         for x in universe:
             for y in universe:
-                zs = suites._spot_candidates(field, x, y, units)
+                zs = suites._spot_candidates(x, y, units)
                 assert len(set(zs)) == len(zs)

@@ -187,6 +187,13 @@ class TestArith:
         # an other ledger with no entry but a larger total still raises it
         assert ledger.merged(PrecisionLedger(total_loss=9)) == PrecisionLedger(ledger.entries, 9)
 
+    def test_fresh_elements_share_one_empty_ledger(self):
+        a, b = from_field(Q5, 1), from_field(Q5, 624)
+        assert a.ledger is b.ledger
+        _, ledger = limit_arith("add", a, b)
+        assert len(ledger.entries) == 1 and ledger is not a.ledger
+        assert a.ledger == PrecisionLedger()
+
     def test_merge_appends_the_extra_entry(self):
         _, ledger = limit_arith("add", from_field(Q5, 1), from_field(Q5, 624))
         extra = LossEntry("add", 4, 6, 2)
@@ -307,6 +314,28 @@ def _exact_cases(field, rng):
         ("neg", (x,), field.neg(x)),
         ("inv", (x,), field.inv(x)),
     ]
+
+
+class TestMixedExactness:
+    """A product of an exact and a non-exact element is not exact, and a
+    cancellation between them is dated by the first level that shows it."""
+
+    def test_exact_times_sigma_is_not_exact(self):
+        prod, _ = limit_arith("mul", from_field(Q5, 2), sigma_embed(E5.generator(), RF5))
+        assert not prod.exact
+        assert limit_eq(prod, sigma_embed(E5.element({"b": 2}), RF5), 16).equal
+        assert to_approximation(prod, 6).digits == (2, 1, 1, 3, 0, 3)
+
+    def test_sigma_cancellation_discovered_at_level_one(self):
+        # 5r = 5 + 3*5^2 + ..., so 5r - 5 has value 2, against min value 1:
+        # the level-0 sum 5*16 - 5 = 75 has value 2 > 0 + 1, the level-1
+        # sum first shows it
+        five_r, _ = limit_arith("mul", from_field(Q5, 5), sigma_embed(E5.generator(), RF5))
+        total, ledger = limit_arith("add", five_r, from_field(Q5, -5))
+        assert [(e.op, e.min_valuation, e.result_valuation, e.discovered_at) for e in ledger.entries] == [
+            ("add", 1, 2, 1)
+        ]
+        assert total.valuation() == 2
 
 
 class TestExactArith:
@@ -579,6 +608,18 @@ def _eq_cases():
                 sigma_embed(_x, _r), zero_element(_b)
             )
     return cases
+
+
+class TestEqResultTuple:
+    def test_fields_defaults_and_immutability(self):
+        assert EqResult._fields == ("equal", "level", "witness")
+        assert EqResult._field_defaults == {"witness": None}
+        res = limit_eq(from_field(Q5, 1), from_field(Q5, 6), 3)
+        assert res == EqResult(False, 1, (Fraction(1), Fraction(6)))
+        assert res != EqResult(False, 2, res.witness) and EqResult(True, 3) == EqResult(True, 3, None)
+        for name in EqResult._fields:
+            with pytest.raises(AttributeError):
+                setattr(res, name, None)
 
 
 class TestEqAgainstWalk:

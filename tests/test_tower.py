@@ -58,6 +58,14 @@ class TestProject:
             project(C(1, 1), -1)
 
 
+class TestLevelPair:
+    def test_bounds(self):
+        assert LevelPair(0, 0) == LevelPair(0, 0) and LevelPair(2, 5).upper == 5
+        for lower, upper in ((-1, 0), (-1, -1), (3, 2)):
+            with pytest.raises(ValueError):
+                LevelPair(lower, upper)
+
+
 def old_triples(levels):
     # the nested loop check_slice_triangles walked before, kept as the reference
     out = []
